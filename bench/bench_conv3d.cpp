@@ -2,12 +2,12 @@
 // 3x3x3 convolution forward/backward, transposed convolution, pooling
 // and batch norm, at the tile sizes the real (host-scale) backend uses.
 //
-// Conv benchmarks take a backend argument (0 = naive, 1 = gemm) so one run
-// captures both before/after numbers; tools/verify.sh writes them to
-// BENCH_conv3d.json and checks the gemm/naive ratio.
+// Conv benchmarks take the channel count as their argument;
+// tools/verify.sh writes the conv cases to BENCH_conv3d.json. End-to-end
+// conv cost in a training step is covered by the train_fullvol workload
+// of the end-to-end benchmark (bench_e2e/).
 #include <benchmark/benchmark.h>
 
-#include "nn/kernels.hpp"
 #include "nn/layers/batchnorm.hpp"
 #include "nn/layers/conv3d.hpp"
 #include "nn/layers/conv_transpose3d.hpp"
@@ -18,16 +18,9 @@ namespace {
 
 using namespace dmis;
 
-nn::KernelBackend backend_arg(const benchmark::State& state) {
-  return state.range(1) == 0 ? nn::KernelBackend::kNaive
-                             : nn::KernelBackend::kGemm;
-}
-
-/// Appends {channels} x {naive, gemm} argument pairs.
+/// Appends the {4, 8, 16} channel counts.
 void ConvArgs(benchmark::internal::Benchmark* b) {
-  for (const int64_t c : {4, 8, 16}) {
-    b->Args({c, 0})->Args({c, 1});
-  }
+  for (const int64_t c : {4, 8, 16}) b->Arg(c);
 }
 
 NDArray random_input(const Shape& shape, uint64_t seed) {
@@ -43,7 +36,6 @@ void BM_Conv3dForward(benchmark::State& state) {
   const int64_t c = state.range(0);
   Rng rng(1);
   nn::Conv3d conv(c, c, 3, 1, 1, rng);
-  conv.set_backend(backend_arg(state));
   const NDArray in = random_input(Shape{1, c, 16, 16, 16}, 2);
   for (auto _ : state) {
     benchmark::DoNotOptimize(conv.forward1(in, true).data());
@@ -58,7 +50,6 @@ void BM_Conv3dForwardStride2(benchmark::State& state) {
   const int64_t c = state.range(0);
   Rng rng(1);
   nn::Conv3d conv(c, c, 3, 2, 1, rng);
-  conv.set_backend(backend_arg(state));
   const NDArray in = random_input(Shape{1, c, 16, 16, 16}, 2);
   for (auto _ : state) {
     benchmark::DoNotOptimize(conv.forward1(in, true).data());
@@ -68,11 +59,10 @@ void BM_Conv3dForwardStride2(benchmark::State& state) {
 BENCHMARK(BM_Conv3dForwardStride2)->Apply(ConvArgs)->Unit(benchmark::kMillisecond);
 
 void BM_Conv3dForward1x1x1(benchmark::State& state) {
-  // Segmentation-head shape: the gemm path skips im2col entirely here.
+  // Segmentation-head shape: the layer skips im2col entirely here.
   const int64_t c = state.range(0);
   Rng rng(1);
   nn::Conv3d conv(c, 4, 1, 1, 0, rng);
-  conv.set_backend(backend_arg(state));
   const NDArray in = random_input(Shape{1, c, 16, 16, 16}, 2);
   for (auto _ : state) {
     benchmark::DoNotOptimize(conv.forward1(in, true).data());
@@ -85,7 +75,6 @@ void BM_Conv3dBackward(benchmark::State& state) {
   const int64_t c = state.range(0);
   Rng rng(1);
   nn::Conv3d conv(c, c, 3, 1, 1, rng);
-  conv.set_backend(backend_arg(state));
   const NDArray in = random_input(Shape{1, c, 16, 16, 16}, 2);
   const NDArray out = conv.forward1(in, true);
   const NDArray grad = random_input(out.shape(), 3);
@@ -94,21 +83,20 @@ void BM_Conv3dBackward(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_Conv3dBackward)
-    ->Args({4, 0})->Args({4, 1})->Args({8, 0})->Args({8, 1})
+    ->Arg(4)->Arg(8)
     ->Unit(benchmark::kMillisecond);
 
 void BM_ConvTranspose3dForward(benchmark::State& state) {
   const int64_t c = state.range(0);
   Rng rng(1);
   nn::ConvTranspose3d up(c, c, 2, 2, rng);
-  up.set_backend(backend_arg(state));
   const NDArray in = random_input(Shape{1, c, 8, 8, 8}, 2);
   for (auto _ : state) {
     benchmark::DoNotOptimize(up.forward1(in, true).data());
   }
 }
 BENCHMARK(BM_ConvTranspose3dForward)
-    ->Args({8, 0})->Args({8, 1})->Args({16, 0})->Args({16, 1})
+    ->Arg(8)->Arg(16)
     ->Unit(benchmark::kMillisecond);
 
 void BM_MaxPool3dForward(benchmark::State& state) {

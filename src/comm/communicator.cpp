@@ -207,8 +207,15 @@ CollectiveContext::CollectiveContext(int size, const GroupOptions& options)
 CollectiveContext::~CollectiveContext() {
   obs::FlightRecorder::instance().unregister_health_provider(flight_token_);
   if (!workers_active_.load(std::memory_order_acquire)) return;
-  stopping_.store(true, std::memory_order_release);
-  for (auto& q : queues_) q->cv.notify_all();
+  for (auto& q : queues_) {
+    {
+      // Set under the queue mutex: a worker between its predicate check
+      // and its wait() would otherwise miss the notify and hang join().
+      const std::lock_guard<std::mutex> lock(q->mutex);
+      stopping_.store(true, std::memory_order_release);
+    }
+    q->cv.notify_all();
+  }
   for (auto& w : workers_) w.join();
 }
 

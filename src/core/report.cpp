@@ -69,8 +69,7 @@ std::string tune_table(const ray::TuneResult& result,
     const auto it = t.last_metrics.find(metric);
     if (it != t.last_metrics.end()) {
       os << std::fixed << std::setprecision(4) << it->second;
-    } else if (t.status == ray::TrialStatus::kError ||
-               t.status == ray::TrialStatus::kFailed) {
+    } else if (t.status == ray::TrialStatus::kFailed) {
       os << "error: " << t.error;
     } else {
       os << "-";

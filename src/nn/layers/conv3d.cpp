@@ -16,7 +16,6 @@ Conv3d::Conv3d(int64_t in_channels, int64_t out_channels, int kernel,
       kernel_(kernel),
       stride_(stride),
       padding_(padding),
-      backend_(default_kernel_backend()),
       weight_(Shape{out_channels, in_channels, kernel, kernel, kernel}),
       bias_(Shape{out_channels}),
       grad_weight_(weight_.shape()),
@@ -51,19 +50,6 @@ NDArray Conv3d::forward(std::span<const NDArray* const> inputs,
              "conv output collapsed for input " << s.str());
   NDArray out(Shape{N, cout_, OD, OH, OW});
 
-  if (backend_ == KernelBackend::kGemm) {
-    forward_gemm(in, out);
-  } else {
-    forward_naive(in, out);
-  }
-  return out;
-}
-
-void Conv3d::forward_gemm(const NDArray& in, NDArray& out) {
-  const Shape& s = in.shape();
-  const int64_t N = s.n(), D = s.d(), H = s.dim(3), W = s.dim(4);
-  const Shape& os = out.shape();
-  const int64_t OD = os.d(), OH = os.dim(3), OW = os.dim(4);
   const int64_t k = kernel_, st = stride_, p = padding_;
   const int64_t taps = cin_ * k * k * k;  // rows of the column matrix
   const int64_t cols = OD * OH * OW;      // output positions
@@ -93,65 +79,7 @@ void Conv3d::forward_gemm(const NDArray& in, NDArray& out) {
     sgemm(false, false, cout_, cols, taps, w, taps, colp, cols, yn, cols,
           /*accumulate=*/true);
   }
-}
-
-void Conv3d::forward_naive(const NDArray& in, NDArray& out) const {
-  const Shape& s = in.shape();
-  const int64_t N = s.n(), D = s.d(), H = s.dim(3), W = s.dim(4);
-  const Shape& os = out.shape();
-  const int64_t OD = os.d(), OH = os.dim(3), OW = os.dim(4);
-
-  const int64_t k = kernel_, st = stride_, p = padding_;
-  const float* x = in.data();
-  const float* w = weight_.data();
-  const float* b = bias_.data();
-  float* y = out.data();
-
-  const int64_t in_cs = D * H * W;          // input channel stride
-  const int64_t in_ns = cin_ * in_cs;       // input batch stride
-  const int64_t out_cs = OD * OH * OW;
-  const int64_t out_ns = cout_ * out_cs;
-  const int64_t w_cos = cin_ * k * k * k;   // weight Cout stride
-
-  parallel_for(0, N * cout_, [&](int64_t lo, int64_t hi) {
-    for (int64_t idx = lo; idx < hi; ++idx) {
-      const int64_t n = idx / cout_;
-      const int64_t co = idx % cout_;
-      const float* xn = x + n * in_ns;
-      const float* wc = w + co * w_cos;
-      float* yc = y + n * out_ns + co * out_cs;
-      for (int64_t od = 0; od < OD; ++od) {
-        for (int64_t oh = 0; oh < OH; ++oh) {
-          for (int64_t ow = 0; ow < OW; ++ow) {
-            float acc = b[co];
-            const int64_t z0 = od * st - p;
-            const int64_t y0 = oh * st - p;
-            const int64_t x0 = ow * st - p;
-            for (int64_t ci = 0; ci < cin_; ++ci) {
-              const float* xc = xn + ci * in_cs;
-              const float* wk = wc + ci * k * k * k;
-              for (int64_t kz = 0; kz < k; ++kz) {
-                const int64_t iz = z0 + kz;
-                if (iz < 0 || iz >= D) continue;
-                for (int64_t ky = 0; ky < k; ++ky) {
-                  const int64_t iy = y0 + ky;
-                  if (iy < 0 || iy >= H) continue;
-                  const float* xrow = xc + (iz * H + iy) * W;
-                  const float* wrow = wk + (kz * k + ky) * k;
-                  for (int64_t kx = 0; kx < k; ++kx) {
-                    const int64_t ix = x0 + kx;
-                    if (ix < 0 || ix >= W) continue;
-                    acc += xrow[ix] * wrow[kx];
-                  }
-                }
-              }
-            }
-            yc[(od * OH + oh) * OW + ow] = acc;
-          }
-        }
-      }
-    }
-  });
+  return out;
 }
 
 std::vector<NDArray> Conv3d::backward(const NDArray& grad_output) {
@@ -163,20 +91,6 @@ std::vector<NDArray> Conv3d::backward(const NDArray& grad_output) {
                                             << " mismatch");
 
   NDArray grad_input(is);
-  if (backend_ == KernelBackend::kGemm) {
-    backward_gemm(grad_output, grad_input);
-  } else {
-    backward_naive(grad_output, grad_input);
-  }
-  std::vector<NDArray> grads;
-  grads.push_back(std::move(grad_input));
-  return grads;
-}
-
-void Conv3d::backward_gemm(const NDArray& grad_output, NDArray& grad_input) {
-  const Shape& is = input_.shape();
-  const int64_t N = is.n(), D = is.d(), H = is.dim(3), W = is.dim(4);
-  const int64_t OD = out_extent(D), OH = out_extent(H), OW = out_extent(W);
   const int64_t k = kernel_, st = stride_, p = padding_;
   const int64_t taps = cin_ * k * k * k;
   const int64_t cols = OD * OH * OW;
@@ -228,111 +142,9 @@ void Conv3d::backward_gemm(const NDArray& grad_output, NDArray& grad_input) {
       col2im_3d(col.data(), cin_, D, H, W, k, st, p, OD, OH, OW, gin);
     }
   }
-}
-
-void Conv3d::backward_naive(const NDArray& grad_output, NDArray& grad_input) {
-  const Shape& is = input_.shape();
-  const int64_t N = is.n(), D = is.d(), H = is.dim(3), W = is.dim(4);
-  const int64_t OD = out_extent(D), OH = out_extent(H), OW = out_extent(W);
-
-  const int64_t k = kernel_, st = stride_, p = padding_;
-  const float* x = input_.data();
-  const float* w = weight_.data();
-  const float* go = grad_output.data();
-
-  const int64_t in_cs = D * H * W;
-  const int64_t in_ns = cin_ * in_cs;
-  const int64_t out_cs = OD * OH * OW;
-  const int64_t out_ns = cout_ * out_cs;
-  const int64_t w_cos = cin_ * k * k * k;
-
-  // Pass 1: parameter gradients, race-free parallel over output channel.
-  float* gw = grad_weight_.data();
-  float* gb = grad_bias_.data();
-  parallel_for(0, cout_, [&](int64_t lo, int64_t hi) {
-    for (int64_t co = lo; co < hi; ++co) {
-      float* gwc = gw + co * w_cos;
-      double gb_acc = 0.0;
-      for (int64_t n = 0; n < N; ++n) {
-        const float* xn = x + n * in_ns;
-        const float* goc = go + n * out_ns + co * out_cs;
-        for (int64_t od = 0; od < OD; ++od) {
-          for (int64_t oh = 0; oh < OH; ++oh) {
-            for (int64_t ow = 0; ow < OW; ++ow) {
-              const float g = goc[(od * OH + oh) * OW + ow];
-              if (g == 0.0F) continue;
-              gb_acc += static_cast<double>(g);
-              const int64_t z0 = od * st - p;
-              const int64_t y0 = oh * st - p;
-              const int64_t x0 = ow * st - p;
-              for (int64_t ci = 0; ci < cin_; ++ci) {
-                const float* xc = xn + ci * in_cs;
-                float* gwk = gwc + ci * k * k * k;
-                for (int64_t kz = 0; kz < k; ++kz) {
-                  const int64_t iz = z0 + kz;
-                  if (iz < 0 || iz >= D) continue;
-                  for (int64_t ky = 0; ky < k; ++ky) {
-                    const int64_t iy = y0 + ky;
-                    if (iy < 0 || iy >= H) continue;
-                    const float* xrow = xc + (iz * H + iy) * W;
-                    float* gwrow = gwk + (kz * k + ky) * k;
-                    for (int64_t kx = 0; kx < k; ++kx) {
-                      const int64_t ix = x0 + kx;
-                      if (ix < 0 || ix >= W) continue;
-                      gwrow[kx] += g * xrow[ix];
-                    }
-                  }
-                }
-              }
-            }
-          }
-        }
-      }
-      gb[co] += static_cast<float>(gb_acc);
-    }
-  });
-
-  // Pass 2: input gradients, race-free parallel over batch.
-  float* gi = grad_input.data();
-  parallel_for(0, N, [&](int64_t lo, int64_t hi) {
-    for (int64_t n = lo; n < hi; ++n) {
-      float* gin = gi + n * in_ns;
-      for (int64_t co = 0; co < cout_; ++co) {
-        const float* goc = go + n * out_ns + co * out_cs;
-        const float* wc = w + co * w_cos;
-        for (int64_t od = 0; od < OD; ++od) {
-          for (int64_t oh = 0; oh < OH; ++oh) {
-            for (int64_t ow = 0; ow < OW; ++ow) {
-              const float g = goc[(od * OH + oh) * OW + ow];
-              if (g == 0.0F) continue;
-              const int64_t z0 = od * st - p;
-              const int64_t y0 = oh * st - p;
-              const int64_t x0 = ow * st - p;
-              for (int64_t ci = 0; ci < cin_; ++ci) {
-                float* gic = gin + ci * in_cs;
-                const float* wk = wc + ci * k * k * k;
-                for (int64_t kz = 0; kz < k; ++kz) {
-                  const int64_t iz = z0 + kz;
-                  if (iz < 0 || iz >= D) continue;
-                  for (int64_t ky = 0; ky < k; ++ky) {
-                    const int64_t iy = y0 + ky;
-                    if (iy < 0 || iy >= H) continue;
-                    float* girow = gic + (iz * H + iy) * W;
-                    const float* wrow = wk + (kz * k + ky) * k;
-                    for (int64_t kx = 0; kx < k; ++kx) {
-                      const int64_t ix = x0 + kx;
-                      if (ix < 0 || ix >= W) continue;
-                      girow[ix] += g * wrow[kx];
-                    }
-                  }
-                }
-              }
-            }
-          }
-        }
-      }
-    }
-  });
+  std::vector<NDArray> grads;
+  grads.push_back(std::move(grad_input));
+  return grads;
 }
 
 std::vector<Param> Conv3d::params() {

@@ -1,26 +1,22 @@
-// 3-D convolution (channels-first), with two interchangeable backends.
+// 3-D convolution (channels-first).
 //
 // The paper's U-Net uses 3x3x3 convolutions with "same" padding and 1x1x1
 // head convolutions; this layer is generic over cubic kernel size, stride
 // and padding. Weight layout is [Cout, Cin, K, K, K].
 //
-// Backends (see nn/kernels.hpp, selected by DMIS_KERNEL, default gemm):
-//  * naive — direct loop nests, parallel over (batch x output channel)
-//    forward and two race-free backward passes. The reference every fast
-//    kernel is differentially tested against (tests/nn/conv_parity_test).
-//  * gemm — im2col lowering + blocked SGEMM for forward, input-gradient
-//    and weight-gradient passes; the column buffer comes from the shared
-//    Workspace, so steady-state steps allocate nothing inside the kernel.
-//    1x1x1/stride-1 convolutions skip im2col and feed SGEMM directly.
+// Forward, input-gradient and weight-gradient passes all lower to im2col
+// + blocked SGEMM; the column buffer comes from the shared Workspace, so
+// steady-state steps allocate nothing inside the kernel. 1x1x1/stride-1
+// convolutions skip im2col and feed SGEMM directly. The direct loop-nest
+// reference these passes are differentially tested against lives in
+// tests/nn/conv_reference.hpp.
 #pragma once
 
 #include <memory>
 
-#include "nn/kernels.hpp"
 #include "nn/module.hpp"
 #include "nn/workspace.hpp"
 #include "tensor/rng.hpp"
-#include "tensor/thread_pool.hpp"
 
 namespace dmis::nn {
 
@@ -28,7 +24,6 @@ class Conv3d final : public Module {
  public:
   /// Creates a conv layer; weights are truncated-normal initialized with
   /// stddev sqrt(2 / fan_in) (He scaling, clipped at 2 sigma), bias zero.
-  /// The kernel backend is captured from default_kernel_backend().
   Conv3d(int64_t in_channels, int64_t out_channels, int kernel, int stride,
          int padding, Rng& rng);
 
@@ -44,11 +39,6 @@ class Conv3d final : public Module {
   int64_t in_channels() const { return cin_; }
   int64_t out_channels() const { return cout_; }
 
-  KernelBackend backend() const { return backend_; }
-  /// Switches backends in place (weights kept) — parity tests flip one
-  /// layer instance between naive and gemm.
-  void set_backend(KernelBackend backend) { backend_ = backend; }
-
   /// Output spatial extent for one dimension given this layer's geometry.
   int64_t out_extent(int64_t in_extent) const {
     return (in_extent + 2 * padding_ - kernel_) / stride_ + 1;
@@ -58,10 +48,6 @@ class Conv3d final : public Module {
   NDArray& bias() { return bias_; }
 
  private:
-  void forward_naive(const NDArray& in, NDArray& out) const;
-  void forward_gemm(const NDArray& in, NDArray& out);
-  void backward_naive(const NDArray& grad_output, NDArray& grad_input);
-  void backward_gemm(const NDArray& grad_output, NDArray& grad_input);
   Workspace& workspace();
 
   int64_t cin_;
@@ -69,7 +55,6 @@ class Conv3d final : public Module {
   int kernel_;
   int stride_;
   int padding_;
-  KernelBackend backend_;
 
   NDArray weight_;       // [Cout, Cin, K, K, K]
   NDArray bias_;         // [Cout]

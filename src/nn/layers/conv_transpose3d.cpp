@@ -15,7 +15,6 @@ ConvTranspose3d::ConvTranspose3d(int64_t in_channels, int64_t out_channels,
       cout_(out_channels),
       kernel_(kernel),
       stride_(stride),
-      backend_(default_kernel_backend()),
       weight_(Shape{in_channels, out_channels, kernel, kernel, kernel}),
       bias_(Shape{out_channels}),
       grad_weight_(weight_.shape()),
@@ -33,6 +32,13 @@ Workspace& ConvTranspose3d::workspace() {
   return *workspace_;
 }
 
+// The lowering views the transposed conv as the adjoint of an ordinary
+// (pad-0) convolution over its *own output*: that convolution's im2col
+// matrix has rows (co, kz, ky, kx) and columns indexed by this layer's
+// *input* positions, so
+//   forward:      col = W^T * X, then col2im into the output;
+//   input grad:   GI  = W * im2col(GO);
+//   weight grad:  GW += X * im2col(GO)^T.
 NDArray ConvTranspose3d::forward(std::span<const NDArray* const> inputs,
                                  bool /*training*/) {
   DMIS_CHECK(inputs.size() == 1, "ConvTranspose3d expects 1 input");
@@ -47,26 +53,6 @@ NDArray ConvTranspose3d::forward(std::span<const NDArray* const> inputs,
   const int64_t OD = out_extent(D), OH = out_extent(H), OW = out_extent(W);
   NDArray out(Shape{N, cout_, OD, OH, OW});
 
-  if (backend_ == KernelBackend::kGemm) {
-    forward_gemm(in, out);
-  } else {
-    forward_naive(in, out);
-  }
-  return out;
-}
-
-// The gemm lowering views the transposed conv as the adjoint of an
-// ordinary (pad-0) convolution over its *own output*: that convolution's
-// im2col matrix has rows (co, kz, ky, kx) and columns indexed by this
-// layer's *input* positions, so
-//   forward:      col = W^T * X, then col2im into the output;
-//   input grad:   GI  = W * im2col(GO);
-//   weight grad:  GW += X * im2col(GO)^T.
-void ConvTranspose3d::forward_gemm(const NDArray& in, NDArray& out) {
-  const Shape& s = in.shape();
-  const int64_t N = s.n(), D = s.d(), H = s.dim(3), W = s.dim(4);
-  const Shape& os = out.shape();
-  const int64_t OD = os.d(), OH = os.dim(3), OW = os.dim(4);
   const int64_t k = kernel_, st = stride_;
   const int64_t taps = cout_ * k * k * k;
   const int64_t cols = D * H * W;  // input positions = column count
@@ -88,60 +74,7 @@ void ConvTranspose3d::forward_gemm(const NDArray& in, NDArray& out) {
     }
     col2im_3d(col.data(), cout_, OD, OH, OW, k, st, /*pad=*/0, D, H, W, yn);
   }
-}
-
-void ConvTranspose3d::forward_naive(const NDArray& in, NDArray& out) const {
-  const Shape& s = in.shape();
-  const int64_t N = s.n(), D = s.d(), H = s.dim(3), W = s.dim(4);
-  const Shape& os = out.shape();
-  const int64_t OD = os.d(), OH = os.dim(3), OW = os.dim(4);
-
-  const int64_t k = kernel_, st = stride_;
-  const float* x = in.data();
-  const float* w = weight_.data();
-  const float* b = bias_.data();
-  float* y = out.data();
-
-  const int64_t in_cs = D * H * W;
-  const int64_t in_ns = cin_ * in_cs;
-  const int64_t out_cs = OD * OH * OW;
-  const int64_t out_ns = cout_ * out_cs;
-  const int64_t w_cis = cout_ * k * k * k;  // weight Cin stride
-  const int64_t w_cos = k * k * k;          // weight Cout stride
-
-  // Parallel over (batch x output channel): each task owns a disjoint
-  // output slab, so the scatter accumulation is race-free.
-  parallel_for(0, N * cout_, [&](int64_t lo, int64_t hi) {
-    for (int64_t idx = lo; idx < hi; ++idx) {
-      const int64_t n = idx / cout_;
-      const int64_t co = idx % cout_;
-      float* yc = y + n * out_ns + co * out_cs;
-      for (int64_t i = 0; i < out_cs; ++i) yc[i] = b[co];
-      const float* xn = x + n * in_ns;
-      for (int64_t ci = 0; ci < cin_; ++ci) {
-        const float* xc = xn + ci * in_cs;
-        const float* wk = w + ci * w_cis + co * w_cos;
-        for (int64_t iz = 0; iz < D; ++iz) {
-          for (int64_t iy = 0; iy < H; ++iy) {
-            for (int64_t ix = 0; ix < W; ++ix) {
-              const float v = xc[(iz * H + iy) * W + ix];
-              if (v == 0.0F) continue;
-              const int64_t z0 = iz * st, y0 = iy * st, x0 = ix * st;
-              for (int64_t kz = 0; kz < k; ++kz) {
-                for (int64_t ky = 0; ky < k; ++ky) {
-                  float* yrow = yc + ((z0 + kz) * OH + (y0 + ky)) * OW + x0;
-                  const float* wrow = wk + (kz * k + ky) * k;
-                  for (int64_t kx = 0; kx < k; ++kx) {
-                    yrow[kx] += v * wrow[kx];
-                  }
-                }
-              }
-            }
-          }
-        }
-      }
-    }
-  });
+  return out;
 }
 
 std::vector<NDArray> ConvTranspose3d::backward(const NDArray& grad_output) {
@@ -153,21 +86,6 @@ std::vector<NDArray> ConvTranspose3d::backward(const NDArray& grad_output) {
                  << grad_output.shape().str() << " mismatch");
 
   NDArray grad_input(is);
-  if (backend_ == KernelBackend::kGemm) {
-    backward_gemm(grad_output, grad_input);
-  } else {
-    backward_naive(grad_output, grad_input);
-  }
-  std::vector<NDArray> grads;
-  grads.push_back(std::move(grad_input));
-  return grads;
-}
-
-void ConvTranspose3d::backward_gemm(const NDArray& grad_output,
-                                    NDArray& grad_input) {
-  const Shape& is = input_.shape();
-  const int64_t N = is.n(), D = is.d(), H = is.dim(3), W = is.dim(4);
-  const int64_t OD = out_extent(D), OH = out_extent(H), OW = out_extent(W);
   const int64_t k = kernel_, st = stride_;
   const int64_t taps = cout_ * k * k * k;
   const int64_t cols = D * H * W;
@@ -201,105 +119,9 @@ void ConvTranspose3d::backward_gemm(const NDArray& grad_output,
     sgemm(false, true, cin_, taps, cols, xn, cols, col.data(), cols, gw, taps,
           /*accumulate=*/true);
   }
-}
-
-void ConvTranspose3d::backward_naive(const NDArray& grad_output,
-                                     NDArray& grad_input) {
-  const Shape& is = input_.shape();
-  const int64_t N = is.n(), D = is.d(), H = is.dim(3), W = is.dim(4);
-  const int64_t OD = out_extent(D), OH = out_extent(H), OW = out_extent(W);
-
-  const int64_t k = kernel_, st = stride_;
-  const float* x = input_.data();
-  const float* w = weight_.data();
-  const float* go = grad_output.data();
-
-  const int64_t in_cs = D * H * W;
-  const int64_t in_ns = cin_ * in_cs;
-  const int64_t out_cs = OD * OH * OW;
-  const int64_t out_ns = cout_ * out_cs;
-  const int64_t w_cis = cout_ * k * k * k;
-  const int64_t w_cos = k * k * k;
-
-  // Bias gradient: sum of grad_output per output channel.
-  float* gb = grad_bias_.data();
-  parallel_for(0, cout_, [&](int64_t lo, int64_t hi) {
-    for (int64_t co = lo; co < hi; ++co) {
-      double acc = 0.0;
-      for (int64_t n = 0; n < N; ++n) {
-        const float* goc = go + n * out_ns + co * out_cs;
-        for (int64_t i = 0; i < out_cs; ++i) acc += goc[i];
-      }
-      gb[co] += static_cast<float>(acc);
-    }
-  });
-
-  // Weight gradient: parallel over input channel (each ci owns a slab).
-  float* gw = grad_weight_.data();
-  parallel_for(0, cin_, [&](int64_t lo, int64_t hi) {
-    for (int64_t ci = lo; ci < hi; ++ci) {
-      float* gwc = gw + ci * w_cis;
-      for (int64_t n = 0; n < N; ++n) {
-        const float* xc = x + n * in_ns + ci * in_cs;
-        for (int64_t co = 0; co < cout_; ++co) {
-          const float* goc = go + n * out_ns + co * out_cs;
-          float* gwk = gwc + co * w_cos;
-          for (int64_t iz = 0; iz < D; ++iz) {
-            for (int64_t iy = 0; iy < H; ++iy) {
-              for (int64_t ix = 0; ix < W; ++ix) {
-                const float v = xc[(iz * H + iy) * W + ix];
-                if (v == 0.0F) continue;
-                const int64_t z0 = iz * st, y0 = iy * st, x0 = ix * st;
-                for (int64_t kz = 0; kz < k; ++kz) {
-                  for (int64_t ky = 0; ky < k; ++ky) {
-                    const float* gorow =
-                        goc + ((z0 + kz) * OH + (y0 + ky)) * OW + x0;
-                    float* gwrow = gwk + (kz * k + ky) * k;
-                    for (int64_t kx = 0; kx < k; ++kx) {
-                      gwrow[kx] += v * gorow[kx];
-                    }
-                  }
-                }
-              }
-            }
-          }
-        }
-      }
-    }
-  });
-
-  // Input gradient: gather from the output stamp, parallel over batch.
-  float* gi = grad_input.data();
-  parallel_for(0, N, [&](int64_t lo, int64_t hi) {
-    for (int64_t n = lo; n < hi; ++n) {
-      for (int64_t ci = 0; ci < cin_; ++ci) {
-        float* gic = gi + n * in_ns + ci * in_cs;
-        for (int64_t co = 0; co < cout_; ++co) {
-          const float* goc = go + n * out_ns + co * out_cs;
-          const float* wk = w + ci * w_cis + co * w_cos;
-          for (int64_t iz = 0; iz < D; ++iz) {
-            for (int64_t iy = 0; iy < H; ++iy) {
-              for (int64_t ix = 0; ix < W; ++ix) {
-                const int64_t z0 = iz * st, y0 = iy * st, x0 = ix * st;
-                float acc = 0.0F;
-                for (int64_t kz = 0; kz < k; ++kz) {
-                  for (int64_t ky = 0; ky < k; ++ky) {
-                    const float* gorow =
-                        goc + ((z0 + kz) * OH + (y0 + ky)) * OW + x0;
-                    const float* wrow = wk + (kz * k + ky) * k;
-                    for (int64_t kx = 0; kx < k; ++kx) {
-                      acc += gorow[kx] * wrow[kx];
-                    }
-                  }
-                }
-                gic[(iz * H + iy) * W + ix] += acc;
-              }
-            }
-          }
-        }
-      }
-    }
-  });
+  std::vector<NDArray> grads;
+  grads.push_back(std::move(grad_input));
+  return grads;
 }
 
 std::vector<Param> ConvTranspose3d::params() {

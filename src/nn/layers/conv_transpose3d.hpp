@@ -5,21 +5,18 @@
 // Weight layout is [Cin, Cout, K, K, K] (the adjoint of Conv3d's layout).
 // Output spatial extent is (in - 1) * stride + kernel.
 //
-// Backends (see nn/kernels.hpp, selected by DMIS_KERNEL, default gemm):
-//  * naive — direct scatter/gather loop nests (reference).
-//  * gemm — the transposed conv is the adjoint of a conv over its own
-//    output, so forward is SGEMM + col2im and backward is im2col of the
-//    output gradient + two SGEMMs; scratch comes from the shared
-//    Workspace.
+// The transposed conv is the adjoint of a conv over its own output, so
+// forward is SGEMM + col2im and backward is im2col of the output
+// gradient + two SGEMMs; scratch comes from the shared Workspace. The
+// direct scatter/gather reference these passes are differentially
+// tested against lives in tests/nn/conv_reference.hpp.
 #pragma once
 
 #include <memory>
 
-#include "nn/kernels.hpp"
 #include "nn/module.hpp"
 #include "nn/workspace.hpp"
 #include "tensor/rng.hpp"
-#include "tensor/thread_pool.hpp"
 
 namespace dmis::nn {
 
@@ -37,26 +34,17 @@ class ConvTranspose3d final : public Module {
     workspace_ = std::move(workspace);
   }
 
-  KernelBackend backend() const { return backend_; }
-  /// Switches backends in place (weights kept); see Conv3d::set_backend.
-  void set_backend(KernelBackend backend) { backend_ = backend; }
-
   int64_t out_extent(int64_t in_extent) const {
     return (in_extent - 1) * stride_ + kernel_;
   }
 
  private:
-  void forward_naive(const NDArray& in, NDArray& out) const;
-  void forward_gemm(const NDArray& in, NDArray& out);
-  void backward_naive(const NDArray& grad_output, NDArray& grad_input);
-  void backward_gemm(const NDArray& grad_output, NDArray& grad_input);
   Workspace& workspace();
 
   int64_t cin_;
   int64_t cout_;
   int kernel_;
   int stride_;
-  KernelBackend backend_;
 
   NDArray weight_;       // [Cin, Cout, K, K, K]
   NDArray bias_;         // [Cout]

@@ -23,7 +23,6 @@ const char* trial_status_name(TrialStatus s) {
     case TrialStatus::kRunning: return "RUNNING";
     case TrialStatus::kTerminated: return "TERMINATED";
     case TrialStatus::kStopped: return "STOPPED";
-    case TrialStatus::kError: return "ERROR";
     case TrialStatus::kFailed: return "FAILED";
   }
   return "?";
@@ -370,7 +369,7 @@ TuneResult tune_run(const Trainable& trainable,
                                    : TrialStatus::kTerminated;
               } catch (const std::exception& e) {
                 const std::lock_guard<std::mutex> lock(trials_mutex);
-                trial.status = TrialStatus::kError;
+                trial.status = TrialStatus::kFailed;
                 trial.error = e.what();
                 trial.permanent_error = is_permanent_failure(e);
               }
@@ -389,7 +388,7 @@ TuneResult tune_run(const Trainable& trainable,
           // The worker died before/around the trainable (injected
           // preemption): the task body never recorded the failure.
           const std::lock_guard<std::mutex> lock(trials_mutex);
-          result.trials[i].status = TrialStatus::kError;
+          result.trials[i].status = TrialStatus::kFailed;
           result.trials[i].error = e.what();
           result.trials[i].permanent_error = is_permanent_failure(e);
         }
@@ -397,7 +396,9 @@ TuneResult tune_run(const Trainable& trainable,
         {
           const std::lock_guard<std::mutex> lock(trials_mutex);
           Trial& trial = result.trials[i];
-          if (trial.status != TrialStatus::kError) {
+          // kFailed marks this attempt failed; it sticks unless the
+          // trial is rescheduled below.
+          if (trial.status != TrialStatus::kFailed) {
             metrics.trials_completed.add(1);
             if (ledger != nullptr) {
               LedgerEntry entry;
@@ -411,7 +412,6 @@ TuneResult tune_run(const Trainable& trainable,
           } else if (trial.permanent_error && options.retry.max_retries > 0) {
             // Retrying a permanent error reproduces it; fail now and
             // leave the retry budget to failures that can heal.
-            trial.status = TrialStatus::kFailed;
             metrics.permanent_failures.add(1);
             metrics.trials_failed.add(1);
           } else if (trial.attempts < max_attempts) {
@@ -420,12 +420,8 @@ TuneResult tune_run(const Trainable& trainable,
             trial.error.clear();
             trial.status = TrialStatus::kPending;
             failed.push_back(i);
-          } else if (options.retry.max_retries > 0) {
-            trial.status = TrialStatus::kFailed;
-            metrics.trials_failed.add(1);
           } else {
-            // max_retries == 0: keep legacy kError accounting.
-            metrics.trials_failed.add(1);
+            metrics.trials_failed.add(1);  // retry budget exhausted
           }
         }
         // The durable append runs outside trials_mutex so a (fsync'd)

@@ -17,8 +17,8 @@
 // checkpoint directory and the iteration the last attempt durably
 // reached, so the trainable resumes instead of restarting. *Permanent*
 // errors (invalid configuration, deliberately aborted comm group) land
-// in kFailed immediately. A trial whose retry budget runs dry lands in
-// kFailed; kError is reserved for failures with retries disabled.
+// in kFailed immediately. A trial whose retry budget runs dry (with
+// retries disabled: whose only attempt threw) lands in kFailed too.
 //
 // Sweep-level crash recovery: with a checkpoint_root, every completed
 // trial is also recorded in `<checkpoint_root>/sweep_ledger.jsonl`
@@ -48,8 +48,7 @@ enum class TrialStatus {
   kRunning,
   kTerminated,
   kStopped,
-  kError,   ///< Threw with retries disabled (fail-fast accounting).
-  kFailed,  ///< Threw on every attempt; retry budget exhausted.
+  kFailed,  ///< Threw on every attempt, or hit a permanent error.
 };
 
 const char* trial_status_name(TrialStatus s);
@@ -143,7 +142,7 @@ struct TuneOptions {
   int num_cpus = 0;             ///< 0 -> one CPU per GPU.
   Resources per_trial{1, 1};    ///< The paper: one GPU per experiment.
   std::optional<AshaOptions> asha;  ///< Unset -> FIFO (paper setting).
-  RetryPolicy retry;            ///< Default: no retries (legacy kError).
+  RetryPolicy retry;            ///< Default: no retries (fail fast).
   /// When non-empty, trial i gets checkpoint dir
   /// `<checkpoint_root>/trial_<i>` (created by tune_run) and retried
   /// attempts are expected to resume from it. Also enables the durable

@@ -31,11 +31,15 @@ obs::Counter& buckets_fired_counter() {
 
 size_t GradBucketer::effective_bucket_bytes(size_t configured) {
   const char* env = std::getenv("DMIS_BUCKET_BYTES");
-  if (env == nullptr || *env == '\0') return configured;
+  if (env == nullptr || *env == '\0') {
+    DMIS_CHECK(configured > 0, "MirroredOptions::bucket_bytes must be > 0");
+    return configured;
+  }
   char* end = nullptr;
   const unsigned long long v = std::strtoull(env, &end, 10);
-  DMIS_CHECK(end != env && *end == '\0',
-             "DMIS_BUCKET_BYTES must be a byte count, got '" << env << "'");
+  DMIS_CHECK(end != env && *end == '\0' && v > 0,
+             "DMIS_BUCKET_BYTES must be a positive byte count, got '" << env
+                                                                      << "'");
   return static_cast<size_t>(v);
 }
 
@@ -45,9 +49,7 @@ GradBucketer::GradBucketer(std::vector<nn::Param> params,
     : comm_(comm),
       compress_(comm::CompressOptions::resolved(compress)),
       compressor_(comm::make_compressor(compress_, comm.size())) {
-  DMIS_CHECK(bucket_bytes > 0, "bucket_bytes must be > 0 (use the "
-                               "per-tensor strategy path instead of a "
-                               "zero-sized bucket)");
+  DMIS_CHECK(bucket_bytes > 0, "bucket_bytes must be > 0");
   slots_.reserve(params.size());
   for (nn::Param& p : params) {
     DMIS_CHECK(p.grad != nullptr,

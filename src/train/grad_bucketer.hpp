@@ -1,6 +1,6 @@
 // GradBucketer: fused, compute-overlapped gradient allreduce.
 //
-// The per-tensor synchronization the strategy used to run — one
+// MirroredStrategy's only gradient-sync path. A per-tensor sync — one
 // blocking ring allreduce per parameter after the whole backward pass —
 // pays full ring latency (2*(n-1) barrier rendezvous) for every small
 // tensor and never overlaps communication with compute. This is the
@@ -24,7 +24,8 @@
 // ring itself — the communicator multiplies each chunk once as its
 // reduction completes, exactly as all_reduce_mean does — so unpacking
 // is a plain copy-out and the arithmetic is element-for-element the
-// same as the old scale_ / allreduce / scale_ triple pass.
+// same as a per-tensor scale_ / allreduce / scale_ triple pass (the
+// reference tests/train/grad_bucketer_test.cpp checks it against).
 //
 // Ordering: buckets are *always launched in layout order*, on every
 // rank, regardless of the order gradients become ready. Readiness only
@@ -69,8 +70,8 @@ class GradBucketer {
   static constexpr size_t kDirectBytes = size_t{64} << 10;
 
   /// Resolves the effective cap: DMIS_BUCKET_BYTES when set (parsed as
-  /// bytes; 0 selects the unbucketed per-tensor path in the strategy),
-  /// otherwise `configured`.
+  /// bytes), otherwise `configured`. Throws InvalidArgument naming the
+  /// knob when the winning value is 0 or unparseable.
   static size_t effective_bucket_bytes(size_t configured);
 
   /// Builds the bucket layout over `params` (registration order, as

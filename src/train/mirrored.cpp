@@ -115,7 +115,7 @@ struct MirroredStrategy::Impl {
   std::vector<comm::Communicator> comms;
   std::vector<std::unique_ptr<nn::Loss>> losses;
   std::vector<std::unique_ptr<nn::Optimizer>> optimizers;
-  std::vector<std::unique_ptr<GradBucketer>> bucketers;  // empty: per-tensor
+  std::vector<std::unique_ptr<GradBucketer>> bucketers;  // one per replica
   std::unique_ptr<nn::LrSchedule> schedule;
   std::unique_ptr<StragglerDetector> straggler;
   bool elastic = false;
@@ -218,6 +218,8 @@ double MirroredStrategy::effective_lr() const {
 
 void MirroredStrategy::build_group() {
   const int r = world_size();
+  const size_t bucket_bytes =
+      GradBucketer::effective_bucket_bytes(options_.bucket_bytes);
   // Teardown order matters: hooks and bucketers reference the old
   // communicators; the old context's destructor joins its comm workers.
   for (auto& model : replicas_) {
@@ -239,21 +241,17 @@ void MirroredStrategy::build_group() {
         options_.train.optimizer, replicas_[static_cast<size_t>(i)]->params(),
         lr));
   }
-  const size_t bucket_bytes =
-      GradBucketer::effective_bucket_bytes(options_.bucket_bytes);
-  if (bucket_bytes > 0) {
-    for (int i = 0; i < r; ++i) {
-      nn::UNet3d& model = *replicas_[static_cast<size_t>(i)];
-      impl_->bucketers.push_back(std::make_unique<GradBucketer>(
-          model.params(), impl_->comms[static_cast<size_t>(i)],
-          bucket_bytes, options_.compress));
-      // Fires each bucket's allreduce mid-backward; disarmed outside
-      // begin_step()/wait_all(), so forward-only use stays free.
-      model.graph().set_grad_ready_hook(
-          [b = impl_->bucketers.back().get()](const nn::Param& p) {
-            b->on_grad_ready(p);
-          });
-    }
+  for (int i = 0; i < r; ++i) {
+    nn::UNet3d& model = *replicas_[static_cast<size_t>(i)];
+    impl_->bucketers.push_back(std::make_unique<GradBucketer>(
+        model.params(), impl_->comms[static_cast<size_t>(i)], bucket_bytes,
+        options_.compress));
+    // Fires each bucket's allreduce mid-backward; disarmed outside
+    // begin_step()/wait_all(), so forward-only use stays free.
+    model.graph().set_grad_ready_hook(
+        [b = impl_->bucketers.back().get()](const nn::Param& p) {
+          b->on_grad_ready(p);
+        });
   }
   if (options_.train.cyclic.has_value()) {
     const auto& c = *options_.train.cyclic;
@@ -333,9 +331,7 @@ TrainReport MirroredStrategy::fit(data::BatchStream& train,
     for (size_t i = 0; i < replicas_.size(); ++i) {
       if (dead[i] != 0) continue;
       survivors.push_back(std::move(replicas_[i]));
-      if (i < impl_->bucketers.size() && impl_->bucketers[i] != nullptr) {
-        residuals.push_back(impl_->bucketers[i]->export_residuals());
-      }
+      residuals.push_back(impl_->bucketers[i]->export_residuals());
     }
     if (survivors.empty()) std::rethrow_exception(failure.first);
     reg.gauge("train.elastic.residual_mass_exported")
@@ -344,8 +340,7 @@ TrainReport MirroredStrategy::fit(data::BatchStream& train,
     ++impl_->recoveries;
     recovery_counter.add(1);
     build_group();
-    for (size_t i = 0;
-         i < impl_->bucketers.size() && i < residuals.size(); ++i) {
+    for (size_t i = 0; i < residuals.size(); ++i) {
       impl_->bucketers[i]->import_residuals(residuals[i]);
     }
     reg.gauge("train.elastic.residual_mass_imported")
@@ -469,8 +464,7 @@ TrainReport MirroredStrategy::fit(data::BatchStream& train,
     for (std::thread& t : threads) t.join();
     if (bcast_err) std::rethrow_exception(bcast_err);
     for (auto& opt : impl_->optimizers) opt->set_step_count(opt_steps);
-    for (size_t s = 0; s < impl_->bucketers.size() && s < residuals.size();
-         ++s) {
+    for (size_t s = 0; s < residuals.size(); ++s) {
       impl_->bucketers[s]->import_residuals(residuals[s]);
     }
     reg.gauge("train.elastic.residual_mass_imported")
@@ -533,13 +527,9 @@ TrainReport MirroredStrategy::fit(data::BatchStream& train,
         threads.emplace_back([&, i] {
           nn::UNet3d& model = *replicas_[static_cast<size_t>(i)];
           comm::Communicator& comm = impl_->comms[static_cast<size_t>(i)];
-          GradBucketer* bucketer =
-              impl_->bucketers.empty()
-                  ? nullptr
-                  : impl_->bucketers[static_cast<size_t>(i)].get();
+          GradBucketer& bucketer = *impl_->bucketers[static_cast<size_t>(i)];
           try {
             const int64_t step_begin_us = obs::Tracer::now_us();
-            int64_t sync_wait_us = 0;
             nn::Optimizer& opt = *impl_->optimizers[static_cast<size_t>(i)];
             const int64_t lo = offsets[static_cast<size_t>(i)];
             const int64_t hi = offsets[static_cast<size_t>(i) + 1];
@@ -547,14 +537,13 @@ TrainReport MirroredStrategy::fit(data::BatchStream& train,
 
             // Weight local mean-gradients by sample count, sum across
             // the ring, then renormalize by the global batch — exact
-            // even for ragged final batches and idle replicas. On the
-            // bucketed path both scalings are folded into the
-            // pack/unpack copies.
+            // even for ragged final batches and idle replicas. Both
+            // scalings are folded into the bucket pack/unpack copies.
             const float weight = static_cast<float>(count);
             const float inv_total = 1.0F / static_cast<float>(total);
 
             opt.zero_grad();
-            if (bucketer != nullptr) bucketer->begin_step(weight, inv_total);
+            bucketer.begin_step(weight, inv_total);
             int64_t backward_end_us = -1;
             if (count > 0) {
               Shape local_img = img_shape.with_dim(0, count);
@@ -581,24 +570,15 @@ TrainReport MirroredStrategy::fit(data::BatchStream& train,
               backward_end_us = obs::Tracer::now_us();
             }
 
-            if (bucketer != nullptr) {
-              // Buckets whose last gradient arrived mid-backward are
-              // already in flight; flush the stragglers (all of them
-              // for an idle replica), then drain and unpack.
-              const int64_t wait_begin_us = obs::Tracer::now_us();
-              bucketer->flush();
-              bucketer->wait_all();
-              sync_wait_us = obs::Tracer::now_us() - wait_begin_us;
-              record_overlap(*bucketer, backward_end_us);
-            } else {
-              const int64_t wait_begin_us = obs::Tracer::now_us();
-              for (nn::Param& p : model.params()) {
-                p.grad->scale_(weight);
-                comm.all_reduce_sum(p.grad->span());
-                p.grad->scale_(inv_total);
-              }
-              sync_wait_us = obs::Tracer::now_us() - wait_begin_us;
-            }
+            // Buckets whose last gradient arrived mid-backward are
+            // already in flight; flush the stragglers (all of them for
+            // an idle replica), then drain and unpack.
+            const int64_t wait_begin_us = obs::Tracer::now_us();
+            bucketer.flush();
+            bucketer.wait_all();
+            const int64_t sync_wait_us =
+                obs::Tracer::now_us() - wait_begin_us;
+            record_overlap(bucketer, backward_end_us);
             opt.set_lr(current_lr);
             opt.step();
             impl_->straggler->record_step(
@@ -611,7 +591,7 @@ TrainReport MirroredStrategy::fit(data::BatchStream& train,
             // poisoned. Let go of the bucket buffers, then — in elastic
             // mode — join the survivor agreement so every survivor
             // leaves with the same dead-set.
-            if (bucketer != nullptr) bucketer->abandon();
+            bucketer.abandon();
             failure.record(std::current_exception());
             if (elastic) {
               try {
@@ -633,7 +613,7 @@ TrainReport MirroredStrategy::fit(data::BatchStream& train,
             // blocked in the ring wake with kPeerFailed instead of
             // deadlocking, and report ourselves dead.
             comm.abort(e.what());
-            if (bucketer != nullptr) bucketer->abandon();
+            bucketer.abandon();
             {
               const std::lock_guard<std::mutex> lock(failure.mutex);
               failure.self_dead[static_cast<size_t>(i)] = 1;

@@ -6,11 +6,10 @@
 // allreduce every step. Here replicas are threads: each owns a full
 // model copy (identical initialization via a shared seed) and its own
 // optimizer; gradients are combined with the chunked ring allreduce
-// from dmis_comm — by default through GradBucketer, which packs them
-// into flat buckets and launches each bucket's allreduce asynchronously
-// as soon as backward finishes producing it (bucket_bytes = 0 restores
-// the blocking per-tensor path) — weighted by per-replica sample counts
-// so ragged final batches remain exact. Because every replica then
+// from dmis_comm through GradBucketer, which packs them into flat
+// buckets and launches each bucket's allreduce asynchronously as soon
+// as backward finishes producing it, weighted by per-replica sample
+// counts so ragged final batches remain exact. Because every replica then
 // applies the same averaged gradient to the same parameters with the
 // same optimizer state, the replicas stay bit-identical — exactly the
 // mirrored-variable invariant of the TF strategy.
@@ -92,9 +91,8 @@ struct MirroredOptions {
   /// to the surviving world size after a shrink.
   bool scale_lr = true;
   /// Gradient-bucket size cap for the fused, compute-overlapped
-  /// allreduce (see train/grad_bucketer.hpp). 0 selects the legacy
-  /// blocking per-tensor allreduce. Overridable at run time with
-  /// DMIS_BUCKET_BYTES.
+  /// allreduce (see train/grad_bucketer.hpp); must be > 0. Overridable
+  /// at run time with DMIS_BUCKET_BYTES.
   size_t bucket_bytes = size_t{1} << 20;
   /// Survive replica failure by shrinking to the survivors and
   /// restoring from the last step-consistent checkpoint, instead of
@@ -129,7 +127,7 @@ struct MirroredOptions {
   /// hierarchical algorithm and the tuner): -1 resolves
   /// DMIS_COMM_RANKS_PER_NODE, 0 = flat single-node.
   int comm_ranks_per_node = -1;
-  /// Gradient compression for the bucketed sync path
+  /// Gradient compression for the gradient sync
   /// (comm/compress.hpp): fp16 wire or top-k with error feedback.
   /// DMIS_COMPRESS / DMIS_TOPK_RATIO always win over this field; an
   /// elastic rebuild keeps the codec and carries the error-feedback

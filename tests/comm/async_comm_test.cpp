@@ -236,5 +236,17 @@ TEST(AsyncCommTest, DroppingGroupWithUnwaitedRequestsCompletesThem) {
   }
 }
 
+TEST(AsyncCommTest, TeardownRightAfterLastWaitNeverHangs) {
+  // The context destructor races its idle workers back into their queue
+  // wait: the stop flag must be published under each queue's mutex, or
+  // a worker that has just found its queue empty misses the wakeup and
+  // the destructor's join() hangs until the ctest timeout.
+  for (int cycle = 0; cycle < 2000; ++cycle) {
+    auto comms = make_group(1);
+    std::vector<float> buf(8, 1.0F);
+    comms[0].all_reduce_sum_async(buf).wait();
+  }
+}
+
 }  // namespace
 }  // namespace dmis::comm

@@ -85,14 +85,14 @@ TEST(ReportTest, TuneTableRendersStatusesAndMetrics) {
   ray::Trial failed;
   failed.id = 1;
   failed.params = {{"lr", 1e-3}};
-  failed.status = ray::TrialStatus::kError;
+  failed.status = ray::TrialStatus::kFailed;
   failed.error = "NaN loss";
   result.trials = {ok, failed};
 
   const std::string table = tune_table(result);
   EXPECT_NE(table.find("TERMINATED"), std::string::npos);
   EXPECT_NE(table.find("0.8912"), std::string::npos);
-  EXPECT_NE(table.find("ERROR"), std::string::npos);
+  EXPECT_NE(table.find("FAILED"), std::string::npos);
   EXPECT_NE(table.find("NaN loss"), std::string::npos);
   EXPECT_NE(table.find("lr=0.0001"), std::string::npos);
   EXPECT_NE(table.find("attempts"), std::string::npos);

@@ -8,7 +8,6 @@ namespace dmis::nn {
 namespace {
 
 using testing::expect_gradients_match;
-using testing::for_each_kernel_backend;
 using testing::GradCheckOptions;
 
 TEST(Conv3dTest, OutputShapeSamePadding) {
@@ -72,27 +71,21 @@ TEST(Conv3dTest, RejectsWrongChannelCount) {
 }
 
 TEST(Conv3dTest, GradCheck3x3x3SamePadding) {
-  for_each_kernel_backend([](KernelBackend) {
-    Rng rng(2);
-    Conv3d conv(2, 2, 3, 1, 1, rng);
-    expect_gradients_match(conv, {Shape{2, 2, 3, 3, 3}});
-  });
+  Rng rng(2);
+  Conv3d conv(2, 2, 3, 1, 1, rng);
+  expect_gradients_match(conv, {Shape{2, 2, 3, 3, 3}});
 }
 
 TEST(Conv3dTest, GradCheck1x1x1Head) {
-  for_each_kernel_backend([](KernelBackend) {
-    Rng rng(2);
-    Conv3d conv(3, 1, 1, 1, 0, rng);
-    expect_gradients_match(conv, {Shape{2, 3, 2, 3, 2}});
-  });
+  Rng rng(2);
+  Conv3d conv(3, 1, 1, 1, 0, rng);
+  expect_gradients_match(conv, {Shape{2, 3, 2, 3, 2}});
 }
 
 TEST(Conv3dTest, GradCheckStride2) {
-  for_each_kernel_backend([](KernelBackend) {
-    Rng rng(2);
-    Conv3d conv(1, 2, 2, 2, 0, rng);
-    expect_gradients_match(conv, {Shape{1, 1, 4, 4, 4}});
-  });
+  Rng rng(2);
+  Conv3d conv(1, 2, 2, 2, 0, rng);
+  expect_gradients_match(conv, {Shape{1, 1, 4, 4, 4}});
 }
 
 struct ConvGeom {
@@ -136,13 +129,11 @@ class Conv3dGradSweep : public ::testing::TestWithParam<ConvGeom> {};
 
 TEST_P(Conv3dGradSweep, GradCheck) {
   const ConvGeom g = GetParam();
-  for_each_kernel_backend([&g](KernelBackend) {
-    Rng rng(8);
-    Conv3d conv(2, 2, g.kernel, g.stride, g.padding, rng);
-    const int64_t extent = 4;
-    if (conv.out_extent(extent) <= 0) GTEST_SKIP() << "output collapses";
-    expect_gradients_match(conv, {Shape{1, 2, extent, extent, extent}});
-  });
+  Rng rng(8);
+  Conv3d conv(2, 2, g.kernel, g.stride, g.padding, rng);
+  const int64_t extent = 4;
+  if (conv.out_extent(extent) <= 0) GTEST_SKIP() << "output collapses";
+  expect_gradients_match(conv, {Shape{1, 2, extent, extent, extent}});
 }
 
 INSTANTIATE_TEST_SUITE_P(

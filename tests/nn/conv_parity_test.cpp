@@ -1,19 +1,23 @@
-// Differential parity: the gemm (im2col + SGEMM) convolution backend must
-// agree with the naive reference backend on forward outputs and on every
-// gradient (input, weight, bias), across a seeded-random fuzz over conv
-// geometry. One layer instance is flipped between backends so both run
-// with identical weights; agreement is 1e-4 max-abs.
+// Differential parity: the production (im2col + SGEMM) convolution
+// layers must agree with the direct loop-nest reference kernels in
+// conv_reference.hpp on forward outputs and on every gradient (input,
+// weight, bias), across a seeded-random fuzz over conv geometry. The
+// reference runs on the layer's own weights; agreement is 1e-4 max-abs.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
 
+#include "conv_reference.hpp"
 #include "gradcheck.hpp"
 #include "nn/layers/conv3d.hpp"
 #include "nn/layers/conv_transpose3d.hpp"
 
 namespace dmis::nn {
 namespace {
+
+using testing::ConvGeometry;
+using testing::ConvGrads;
 
 constexpr float kTol = 1e-4F;
 
@@ -26,45 +30,46 @@ float max_abs_diff(const NDArray& a, const NDArray& b) {
   return worst;
 }
 
-struct BackendRun {
+struct ReferenceRun {
   NDArray output;
-  NDArray grad_input;
-  NDArray grad_weight;
-  NDArray grad_bias;
+  ConvGrads grads;
 };
 
-/// Forward + backward under one backend, with parameter grads zeroed
-/// first so runs are comparable.
-template <class Layer>
-BackendRun run_backend(Layer& layer, KernelBackend backend,
-                       const NDArray& input, const NDArray& grad_out) {
-  layer.set_backend(backend);
-  for (Param& p : layer.params()) p.grad->zero();
-  BackendRun r;
-  r.output = layer.forward1(input, true);
-  r.grad_input = std::move(layer.backward(grad_out).front());
-  r.grad_weight = *layer.params()[0].grad;
-  r.grad_bias = *layer.params()[1].grad;
-  return r;
+ReferenceRun run_reference(const Conv3d&, const NDArray& input,
+                           const NDArray& weight, const NDArray& bias,
+                           const NDArray& grad_out, ConvGeometry geom) {
+  return {testing::conv3d_forward_reference(input, weight, bias, geom),
+          testing::conv3d_backward_reference(input, weight, grad_out, geom)};
 }
 
+ReferenceRun run_reference(const ConvTranspose3d&, const NDArray& input,
+                           const NDArray& weight, const NDArray& bias,
+                           const NDArray& grad_out, ConvGeometry geom) {
+  return {testing::conv_transpose3d_forward_reference(input, weight, bias,
+                                                      geom),
+          testing::conv_transpose3d_backward_reference(input, weight,
+                                                       grad_out, geom)};
+}
+
+/// Runs the layer forward + backward (parameter grads zeroed first) and
+/// the reference kernels on the same weights, input and output gradient.
 template <class Layer>
-void expect_backend_parity(Layer& layer, const NDArray& input, Rng& rng) {
-  const NDArray out_probe = layer.forward1(input, true);
-  NDArray grad_out(out_probe.shape());
+void expect_reference_parity(Layer& layer, ConvGeometry geom,
+                             const NDArray& input, Rng& rng) {
+  const NDArray output = layer.forward1(input, true);
+  NDArray grad_out(output.shape());
   testing::fill_uniform(grad_out, rng, -1.0F, 1.0F);
+  const std::vector<Param> params = layer.params();
+  for (const Param& p : params) p.grad->zero();
+  const NDArray grad_input = std::move(layer.backward(grad_out).front());
 
-  const BackendRun naive =
-      run_backend(layer, KernelBackend::kNaive, input, grad_out);
-  const BackendRun gemm =
-      run_backend(layer, KernelBackend::kGemm, input, grad_out);
-
-  EXPECT_LE(max_abs_diff(naive.output, gemm.output), kTol) << "forward";
-  EXPECT_LE(max_abs_diff(naive.grad_input, gemm.grad_input), kTol)
-      << "grad_input";
-  EXPECT_LE(max_abs_diff(naive.grad_weight, gemm.grad_weight), kTol)
+  const ReferenceRun ref = run_reference(layer, input, *params[0].value,
+                                         *params[1].value, grad_out, geom);
+  EXPECT_LE(max_abs_diff(ref.output, output), kTol) << "forward";
+  EXPECT_LE(max_abs_diff(ref.grads.input, grad_input), kTol) << "grad_input";
+  EXPECT_LE(max_abs_diff(ref.grads.weight, *params[0].grad), kTol)
       << "grad_weight";
-  EXPECT_LE(max_abs_diff(naive.grad_bias, gemm.grad_bias), kTol)
+  EXPECT_LE(max_abs_diff(ref.grads.bias, *params[1].grad), kTol)
       << "grad_bias";
 }
 
@@ -111,7 +116,7 @@ TEST(ConvParityTest, Conv3dFuzz) {
                  << W << "]");
     NDArray input(Shape{N, cin, D, H, W});
     testing::fill_uniform(input, rng, -1.0F, 1.0F);
-    expect_backend_parity(conv, input, rng);
+    expect_reference_parity(conv, {s, p}, input, rng);
     ++checked;
   }
 }
@@ -137,7 +142,7 @@ TEST_P(ConvParityGrid, Conv3dForwardBackwardAgree) {
   }
   NDArray input(Shape{2, 3, D, H, W});
   testing::fill_uniform(input, rng, -1.0F, 1.0F);
-  expect_backend_parity(conv, input, rng);
+  expect_reference_parity(conv, {g.stride, g.padding}, input, rng);
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -181,7 +186,7 @@ TEST(ConvParityTest, ConvTranspose3dFuzz) {
                  << cin << "," << D << "," << H << "," << W << "]");
     NDArray input(Shape{N, cin, D, H, W});
     testing::fill_uniform(input, rng, -1.0F, 1.0F);
-    expect_backend_parity(up, input, rng);
+    expect_reference_parity(up, {s, 0}, input, rng);
   }
 }
 
@@ -191,7 +196,7 @@ TEST(ConvParityTest, ConvTranspose3dPaperUpsampling) {
   ConvTranspose3d up(8, 8, 2, 2, rng);
   NDArray input(Shape{2, 8, 3, 5, 4});
   testing::fill_uniform(input, rng, -1.0F, 1.0F);
-  expect_backend_parity(up, input, rng);
+  expect_reference_parity(up, {2, 0}, input, rng);
 }
 
 }  // namespace

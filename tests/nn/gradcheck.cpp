@@ -103,16 +103,4 @@ void expect_gradients_match_on(Module& module, std::vector<NDArray> inputs,
   }
 }
 
-void for_each_kernel_backend(const std::function<void(KernelBackend)>& fn) {
-  const KernelBackend saved = default_kernel_backend();
-  for (const KernelBackend backend :
-       {KernelBackend::kNaive, KernelBackend::kGemm}) {
-    set_default_kernel_backend(backend);
-    SCOPED_TRACE(::testing::Message()
-                 << "kernel backend: " << kernel_backend_name(backend));
-    fn(backend);
-  }
-  set_default_kernel_backend(saved);
-}
-
 }  // namespace dmis::nn::testing

@@ -10,10 +10,8 @@
 
 #include <gtest/gtest.h>
 
-#include <functional>
 #include <vector>
 
-#include "nn/kernels.hpp"
 #include "nn/module.hpp"
 #include "tensor/rng.hpp"
 
@@ -41,10 +39,5 @@ void expect_gradients_match(Module& module,
 /// max pooling, whose numeric gradient breaks at argmax boundaries).
 void expect_gradients_match_on(Module& module, std::vector<NDArray> inputs,
                                const GradCheckOptions& opts = {});
-
-/// Invokes `fn` once per kernel backend with that backend installed as the
-/// process default (so layers constructed inside `fn` pick it up), under a
-/// SCOPED_TRACE naming the backend. Restores the previous default on exit.
-void for_each_kernel_backend(const std::function<void(KernelBackend)>& fn);
 
 }  // namespace dmis::nn::testing

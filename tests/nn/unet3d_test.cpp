@@ -98,10 +98,16 @@ TEST(UNet3dTest, FiltersDoublePerStep) {
 // Configuration sweep: every (depth, base_filters, norm) combination
 // must build, run forward with the right output geometry, and keep its
 // probability-map contract.
+//
+// gtest prints this parameter as its raw bytes, and the printout is part
+// of each test's name. The two filler fields occupy what would otherwise
+// be uninitialised padding, so the names are the same on every run.
 struct UNetConfig {
   int depth;
+  int32_t filler0 = -1;
   int64_t base_filters;
   NormKind norm;
+  int32_t filler1 = -1;
 };
 
 class UNet3dConfigSweep : public ::testing::TestWithParam<UNetConfig> {};
@@ -139,12 +145,13 @@ TEST_P(UNet3dConfigSweep, BuildsAndRuns) {
 
 INSTANTIATE_TEST_SUITE_P(
     Configs, UNet3dConfigSweep,
-    ::testing::Values(UNetConfig{2, 2, NormKind::kBatch},
-                      UNetConfig{2, 4, NormKind::kInstance},
-                      UNetConfig{2, 2, NormKind::kNone},
-                      UNetConfig{3, 2, NormKind::kBatch},
-                      UNetConfig{3, 2, NormKind::kInstance},
-                      UNetConfig{4, 2, NormKind::kNone}),
+    ::testing::Values(
+        UNetConfig{.depth = 2, .base_filters = 2, .norm = NormKind::kBatch},
+        UNetConfig{.depth = 2, .base_filters = 4, .norm = NormKind::kInstance},
+        UNetConfig{.depth = 2, .base_filters = 2, .norm = NormKind::kNone},
+        UNetConfig{.depth = 3, .base_filters = 2, .norm = NormKind::kBatch},
+        UNetConfig{.depth = 3, .base_filters = 2, .norm = NormKind::kInstance},
+        UNetConfig{.depth = 4, .base_filters = 2, .norm = NormKind::kNone}),
     [](const ::testing::TestParamInfo<UNetConfig>& info) {
       const char* norm = info.param.norm == NormKind::kBatch ? "bn"
                          : info.param.norm == NormKind::kInstance ? "in"

@@ -17,6 +17,7 @@
 #include "comm/communicator.hpp"
 #include "common/check.hpp"
 #include "common/fault_injector.hpp"
+#include "obs/metrics.hpp"
 #include "raylite/sweep_ledger.hpp"
 
 namespace dmis::ray {
@@ -74,11 +75,18 @@ TEST(TuneTest, TrialErrorsAreCapturedNotFatal) {
   };
   TuneOptions opts;
   opts.num_gpus = 2;
+  const obs::Counter& trials_failed =
+      obs::MetricsRegistry::instance().counter("tune.trials_failed");
+  const int64_t failed_before = trials_failed.value();
   const TuneResult result = tune_run(flaky, lr_grid(), opts);
-  EXPECT_EQ(result.count(TrialStatus::kError), 1);
+  // With retries disabled the throwing trial lands in kFailed, counted
+  // once, and nothing is rescheduled.
+  EXPECT_EQ(result.count(TrialStatus::kFailed), 1);
   EXPECT_EQ(result.count(TrialStatus::kTerminated), 3);
+  EXPECT_EQ(trials_failed.value() - failed_before, 1);
+  EXPECT_EQ(result.transient_failures(), 0);
   for (const Trial& t : result.trials) {
-    if (t.status == TrialStatus::kError) {
+    if (t.status == TrialStatus::kFailed) {
       EXPECT_NE(t.error.find("NaN"), std::string::npos);
     }
   }
@@ -198,7 +206,6 @@ TEST(TrialStatusTest, Names) {
   EXPECT_STREQ(trial_status_name(TrialStatus::kRunning), "RUNNING");
   EXPECT_STREQ(trial_status_name(TrialStatus::kTerminated), "TERMINATED");
   EXPECT_STREQ(trial_status_name(TrialStatus::kStopped), "STOPPED");
-  EXPECT_STREQ(trial_status_name(TrialStatus::kError), "ERROR");
   EXPECT_STREQ(trial_status_name(TrialStatus::kFailed), "FAILED");
 }
 
@@ -227,7 +234,6 @@ TEST_F(TuneRetryTest, TransientFailureIsRetriedToSuccess) {
   opts.retry.backoff_cap = 0.01;
   const TuneResult result = tune_run(flaky_once, lr_grid(), opts);
   EXPECT_EQ(result.count(TrialStatus::kTerminated), 4);
-  EXPECT_EQ(result.count(TrialStatus::kError), 0);
   EXPECT_EQ(result.count(TrialStatus::kFailed), 0);
   EXPECT_EQ(result.transient_failures(), 4);
   for (const Trial& t : result.trials) {
@@ -250,7 +256,6 @@ TEST_F(TuneRetryTest, ExhaustedRetriesLandInFailedNotError) {
   opts.retry.backoff_cap = 0.01;
   const TuneResult result = tune_run(always_broken, lr_grid(), opts);
   EXPECT_EQ(result.count(TrialStatus::kFailed), 1);
-  EXPECT_EQ(result.count(TrialStatus::kError), 0);
   EXPECT_EQ(result.count(TrialStatus::kTerminated), 3);
   for (const Trial& t : result.trials) {
     if (t.status != TrialStatus::kFailed) continue;

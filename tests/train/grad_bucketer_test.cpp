@@ -1,7 +1,7 @@
 // GradBucketer: bucket layout, parity of the fused bucketed allreduce
 // against the per-tensor scale/allreduce/scale triple pass, bitwise
 // determinism for a fixed layout, idle-rank flush, and the
-// DMIS_BUCKET_BYTES override.
+// DMIS_BUCKET_BYTES override (which, like the option, rejects 0).
 #include "train/grad_bucketer.hpp"
 
 #include <gtest/gtest.h>
@@ -17,6 +17,7 @@
 #include "common/check.hpp"
 #include "common/fault_injector.hpp"
 #include "tensor/rng.hpp"
+#include "train/mirrored.hpp"
 
 namespace dmis::train {
 namespace {
@@ -278,7 +279,7 @@ TEST(GradBucketerTest, EnvOverridesConfiguredBucketBytes) {
   ASSERT_EQ(setenv("DMIS_BUCKET_BYTES", "4096", 1), 0);
   EXPECT_EQ(GradBucketer::effective_bucket_bytes(123), 4096U);
   ASSERT_EQ(setenv("DMIS_BUCKET_BYTES", "0", 1), 0);
-  EXPECT_EQ(GradBucketer::effective_bucket_bytes(123), 0U);
+  EXPECT_THROW(GradBucketer::effective_bucket_bytes(123), InvalidArgument);
   ASSERT_EQ(setenv("DMIS_BUCKET_BYTES", "not-bytes", 1), 0);
   EXPECT_THROW(GradBucketer::effective_bucket_bytes(123), InvalidArgument);
   ASSERT_EQ(unsetenv("DMIS_BUCKET_BYTES"), 0);
@@ -288,6 +289,16 @@ TEST(GradBucketerTest, RejectsZeroBucketBytes) {
   FakeParams fp({4}, 9);
   auto comms = comm::make_group(1);
   EXPECT_THROW(GradBucketer(fp.params, comms[0], 0), InvalidArgument);
+  // Zero is no longer a mode switch: neither the option nor the env
+  // knob can select an unbucketed sync.
+  ASSERT_EQ(unsetenv("DMIS_BUCKET_BYTES"), 0);
+  EXPECT_THROW(GradBucketer::effective_bucket_bytes(0), InvalidArgument);
+  MirroredOptions mopt;
+  mopt.bucket_bytes = 0;
+  nn::UNet3dOptions model;
+  model.base_filters = 2;
+  model.depth = 2;
+  EXPECT_THROW(MirroredStrategy(model, mopt), InvalidArgument);
 }
 
 // --- Compressed sync -------------------------------------------------
