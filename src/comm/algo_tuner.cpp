@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cstdlib>
 #include <cstring>
 #include <sstream>
 #include <thread>
@@ -19,21 +18,6 @@ int pow2_floor(int n) {
   int p = 1;
   while (p * 2 <= n) p *= 2;
   return p;
-}
-
-std::optional<double> env_positive_double(const char* name) {
-  const char* env = std::getenv(name);
-  if (env == nullptr || *env == '\0') return std::nullopt;
-  char* end = nullptr;
-  const double v = std::strtod(env, &end);
-  DMIS_CHECK(end != env && *end == '\0' && v > 0.0,
-             name << " must be a positive number, got '" << env << "'");
-  return v;
-}
-
-bool calibration_enabled() {
-  const char* env = std::getenv("DMIS_COMM_CALIB");
-  return !(env != nullptr && std::strcmp(env, "0") == 0);
 }
 
 // Barrier latency: a 4-rank barrier storm over a throwaway ring group.
@@ -138,33 +122,14 @@ CommCostParams CommCostParams::defaults() { return CommCostParams{}; }
 const CommCostParams& CommCostParams::calibrated() {
   static const CommCostParams params = [] {
     CommCostParams p = defaults();
-    if (calibration_enabled()) {
-      p.sync_us = measure_sync_us();
-      p.reduce_gbs = measure_gbs(/*reduce=*/true);
-      p.copy_gbs = measure_gbs(/*reduce=*/false);
-      // In-process "inter-node" links are the same memory bus.
-      p.inter_sync_us = p.sync_us;
-      p.inter_gbs = p.copy_gbs;
-      p.fp16_pack_gbs = measure_fp16_pack_gbs();
-      p.fp16_reduce_gbs = measure_fp16_reduce_gbs();
-    }
-    if (const auto v = env_positive_double("DMIS_COMM_SYNC_US")) {
-      p.sync_us = *v;
-      p.inter_sync_us = *v;
-    }
-    if (const auto v = env_positive_double("DMIS_COMM_REDUCE_GBS")) {
-      p.reduce_gbs = *v;
-    }
-    if (const auto v = env_positive_double("DMIS_COMM_COPY_GBS")) {
-      p.copy_gbs = *v;
-      p.inter_gbs = *v;
-    }
-    if (const auto v = env_positive_double("DMIS_COMM_FP16_PACK_GBS")) {
-      p.fp16_pack_gbs = *v;
-    }
-    if (const auto v = env_positive_double("DMIS_COMM_FP16_REDUCE_GBS")) {
-      p.fp16_reduce_gbs = *v;
-    }
+    p.sync_us = measure_sync_us();
+    p.reduce_gbs = measure_gbs(/*reduce=*/true);
+    p.copy_gbs = measure_gbs(/*reduce=*/false);
+    // In-process "inter-node" links are the same memory bus.
+    p.inter_sync_us = p.sync_us;
+    p.inter_gbs = p.copy_gbs;
+    p.fp16_pack_gbs = measure_fp16_pack_gbs();
+    p.fp16_reduce_gbs = measure_fp16_reduce_gbs();
     DMIS_LOG(kInfo) << "comm tuner calibrated: sync=" << p.sync_us
                    << "us reduce=" << p.reduce_gbs << "GB/s copy="
                    << p.copy_gbs << "GB/s fp16_pack=" << p.fp16_pack_gbs
@@ -191,8 +156,9 @@ bool AlgoTuner::hier_eligible() const {
 // step costs one rendezvous latency plus its slowest per-rank transfer.
 // Shared inter-node links divide their bandwidth among the ranks of a
 // node pulling across them in the same step. These formulas are written
-// independently of all_reduce_steps(); cluster/comm_sim executes that
-// schedule on the DES and a test cross-validates the two rankings.
+// independently of all_reduce_steps(); the test oracle
+// tests/cluster/comm_sim executes that schedule on the DES and
+// cross-validates the two rankings.
 double AlgoTuner::predict_seconds(AllReduceAlgo algo, size_t bytes,
                                   WireFormat wire) const {
   DMIS_CHECK(algo != AllReduceAlgo::kAuto,

@@ -10,17 +10,11 @@
 // cluster DES executes that schedule event-by-event, and a dedicated
 // test cross-validates the two rankings against each other.
 //
-// Calibration: the alphas/betas default to a one-shot process-wide
-// micro-benchmark (a barrier storm for alpha, streamed add/copy loops
-// for the betas, codec loops for the fp16 wire terms) so `auto` adapts
-// to the host. Knobs:
-//   DMIS_COMM_CALIB=0        skip the micro-benchmark, use defaults
-//   DMIS_COMM_SYNC_US=<f>    pin the barrier latency (us)
-//   DMIS_COMM_REDUCE_GBS=<f> pin the accumulate bandwidth (GB/s)
-//   DMIS_COMM_COPY_GBS=<f>   pin the copy bandwidth (GB/s)
-//   DMIS_COMM_FP16_PACK_GBS=<f>   pin the fp32<->fp16 codec rate (GB/s)
-//   DMIS_COMM_FP16_REDUCE_GBS=<f> pin the fp16 wire accumulate (GB/s)
-// Pinned values make choose() fully deterministic for tests.
+// Calibration: calibrated() measures the alphas/betas once per process
+// (a barrier storm for alpha, streamed add/copy loops for the betas,
+// codec loops for the fp16 wire terms) so `auto` adapts to the host.
+// Tests that need a deterministic choose() build a tuner over
+// CommCostParams::defaults() instead.
 #pragma once
 
 #include <cstddef>
@@ -48,12 +42,11 @@ struct CommCostParams {
   double fp16_pack_gbs = 8.0;
   double fp16_reduce_gbs = 2.0;
 
-  /// The compiled-in defaults above, untouched by env or calibration.
+  /// The compiled-in defaults above, untouched by calibration.
   static CommCostParams defaults();
 
-  /// Process-wide calibrated parameters: micro-benchmark once (unless
-  /// DMIS_COMM_CALIB=0), then apply any pinned env overrides. Cached;
-  /// thread-safe; never recalibrates.
+  /// Process-wide calibrated parameters: micro-benchmarked once, then
+  /// cached; thread-safe; never recalibrates.
   static const CommCostParams& calibrated();
 };
 
@@ -80,8 +73,8 @@ class AlgoTuner {
 
   /// End-to-end gradient-sync prediction for one bucket of
   /// `logical_bytes`: codec_seconds + predict_seconds on the wire byte
-  /// count — the quantity cluster::simulate_all_reduce cross-validates
-  /// under compression.
+  /// count — the quantity the tests/cluster/comm_sim oracle
+  /// (cluster::simulate_all_reduce) cross-validates under compression.
   double predict_sync_seconds(AllReduceAlgo algo, size_t logical_bytes,
                               WireFormat wire) const;
 

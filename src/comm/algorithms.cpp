@@ -3,10 +3,12 @@
 #include <algorithm>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
 #include <utility>
 
 #include "comm/communicator.hpp"
 #include "common/check.hpp"
+#include "common/env.hpp"
 #include "obs/trace.hpp"
 
 namespace dmis::comm {
@@ -40,14 +42,10 @@ std::optional<AllReduceAlgo> env_all_reduce_algo() {
 }
 
 std::optional<int> env_ranks_per_node() {
-  const char* env = std::getenv("DMIS_COMM_RANKS_PER_NODE");
-  if (env == nullptr || *env == '\0') return std::nullopt;
-  char* end = nullptr;
-  const long long v = std::strtoll(env, &end, 10);
-  DMIS_CHECK(end != env && *end == '\0' && v >= 0,
-             "DMIS_COMM_RANKS_PER_NODE must be a non-negative rank count, "
-             "got '" << env << "'");
-  return static_cast<int>(v);
+  const auto v = env_int("DMIS_COMM_RANKS_PER_NODE", 0,
+                         std::numeric_limits<int>::max());
+  if (!v) return std::nullopt;
+  return static_cast<int>(*v);
 }
 
 int node_of(int rank, int ranks_per_node) {

@@ -26,8 +26,8 @@
 //
 // The same step structure is exported declaratively via
 // all_reduce_steps() so the AlgoTuner's closed-form cost model and the
-// cluster DES (cluster/comm_sim) can be cross-validated against one
-// executable description of what each algorithm actually does.
+// DES oracle in tests/cluster/comm_sim can be cross-validated against
+// one executable description of what each algorithm actually does.
 #pragma once
 
 #include <cstddef>

@@ -1,13 +1,13 @@
 #include "comm/communicator.hpp"
 
 #include <algorithm>
-#include <cstdlib>
 #include <cstring>
 #include <exception>
 #include <sstream>
 #include <utility>
 
 #include "common/check.hpp"
+#include "common/env.hpp"
 #include "common/fault_injector.hpp"
 #include "obs/flight_recorder.hpp"
 #include "obs/metrics.hpp"
@@ -85,17 +85,6 @@ void note_async_inflight(int64_t delta) {
   CommMetrics::get().async_inflight.set(static_cast<double>(inflight));
 }
 
-int64_t env_timeout_ms() {
-  const char* env = std::getenv("DMIS_COMM_TIMEOUT_MS");
-  if (env == nullptr || *env == '\0') return 0;
-  char* end = nullptr;
-  const long long v = std::strtoll(env, &end, 10);
-  DMIS_CHECK(end != env && *end == '\0' && v >= 0,
-             "DMIS_COMM_TIMEOUT_MS must be a non-negative millisecond "
-             "count, got '" << env << "'");
-  return static_cast<int64_t>(v);
-}
-
 }  // namespace
 
 const char* comm_error_kind_name(CommErrorKind kind) {
@@ -162,8 +151,9 @@ CollectiveContext::CollectiveContext(int size, int64_t timeout_ms)
 
 CollectiveContext::CollectiveContext(int size, const GroupOptions& options)
     : size_(size),
-      timeout_ms_(options.timeout_ms < 0 ? env_timeout_ms()
-                                         : options.timeout_ms),
+      timeout_ms_(options.timeout_ms < 0
+                      ? env_int("DMIS_COMM_TIMEOUT_MS", 0).value_or(0)
+                      : options.timeout_ms),
       ptrs_(static_cast<size_t>(size), nullptr),
       cptrs_(static_cast<size_t>(size), nullptr),
       sizes_(static_cast<size_t>(size), 0),

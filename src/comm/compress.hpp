@@ -25,8 +25,9 @@
 // Selection: DMIS_COMPRESS=none|fp16|topk (+ DMIS_TOPK_RATIO for the
 // sparsity, default 0.01) — env wins over configured options, same
 // contract as DMIS_COMM_ALGO. The codec cost and the compressed byte
-// counts also feed the AlgoTuner and the cluster DES (comm_sim), so
-// `auto` ranks algorithms with compression in the loop.
+// counts also feed the AlgoTuner (cross-validated by the DES oracle in
+// tests/cluster/comm_sim), so `auto` ranks algorithms with compression
+// in the loop.
 #pragma once
 
 #include <cstddef>

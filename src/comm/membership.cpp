@@ -2,9 +2,9 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cstdlib>
 #include <sstream>
 
+#include "common/env.hpp"
 #include "common/logging.hpp"
 #include "obs/metrics.hpp"
 
@@ -12,12 +12,7 @@ namespace dmis::comm {
 namespace {
 
 int64_t resolve_lease_ms(int64_t configured) {
-  const char* env = std::getenv("DMIS_COMM_LEASE_MS");
-  if (env != nullptr && *env != '\0') {
-    const int64_t v = std::strtoll(env, nullptr, 10);
-    DMIS_CHECK(v > 0, "DMIS_COMM_LEASE_MS must be > 0, got '" << env << "'");
-    return v;
-  }
+  if (const auto v = env_int("DMIS_COMM_LEASE_MS", 1)) return *v;
   if (configured >= 0) {
     DMIS_CHECK(configured > 0, "lease_ms must be > 0, got " << configured);
     return configured;

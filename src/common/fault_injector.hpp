@@ -18,7 +18,7 @@
 // A fired point performs its configured *action*. The default action —
 // and the only one before the failure-semantics work — is to throw
 // `FaultInjected`, which propagates like any other error (through
-// `Future::get()`, actor calls, trial execution) and is what the tune
+// `Future::get()` and trial execution) and is what the tune
 // layer classifies as a transient, retryable failure. Two more actions
 // model the failures a crash cannot: `delay(ms)` makes the fired call
 // sleep and then proceed (a slow rank / stalled NIC), and `hang` parks

@@ -13,7 +13,7 @@ ExperimentConfig ExperimentConfig::from_params(const ray::ParamSet& params) {
   cfg.base_filters = ray::param_int(params, "base_filters");
   cfg.augment = ray::param_bool(params, "augment");
   DMIS_CHECK(cfg.lr > 0.0, "lr must be positive");
-  DMIS_CHECK(cfg.loss == "dice" || cfg.loss == "qdice" || cfg.loss == "bce",
+  DMIS_CHECK(cfg.loss == "dice" || cfg.loss == "qdice",
              "unknown loss '" << cfg.loss << "'");
   DMIS_CHECK(cfg.base_filters >= 1, "base_filters must be >= 1");
   return cfg;

@@ -18,14 +18,4 @@ void he_init(NDArray& w, int64_t fan_in, Rng& rng) {
   truncated_normal_init(w, std::sqrt(2.0 / static_cast<double>(fan_in)), rng);
 }
 
-void glorot_uniform_init(NDArray& w, int64_t fan_in, int64_t fan_out,
-                         Rng& rng) {
-  DMIS_CHECK(fan_in > 0 && fan_out > 0,
-             "fans must be positive, got " << fan_in << ", " << fan_out);
-  const double a = std::sqrt(6.0 / static_cast<double>(fan_in + fan_out));
-  for (int64_t i = 0; i < w.numel(); ++i) {
-    w[i] = static_cast<float>(rng.uniform(-a, a));
-  }
-}
-
 }  // namespace dmis::nn

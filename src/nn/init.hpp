@@ -1,8 +1,7 @@
 // Weight initializers.
 //
 // The paper uses a truncated-normal kernel initializer for every
-// convolution; we provide that plus the common fan-based scalings so the
-// library is usable beyond the paper's preset.
+// convolution; the layers draw it with the He fan-in scaling.
 #pragma once
 
 #include "tensor/ndarray.hpp"
@@ -16,9 +15,5 @@ void truncated_normal_init(NDArray& w, double stddev, Rng& rng);
 
 /// He/Kaiming truncated-normal scaling: stddev = sqrt(2 / fan_in).
 void he_init(NDArray& w, int64_t fan_in, Rng& rng);
-
-/// Glorot/Xavier uniform: U(-a, a), a = sqrt(6 / (fan_in + fan_out)).
-void glorot_uniform_init(NDArray& w, int64_t fan_in, int64_t fan_out,
-                         Rng& rng);
 
 }  // namespace dmis::nn

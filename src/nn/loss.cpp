@@ -1,8 +1,5 @@
 #include "nn/loss.hpp"
 
-#include <algorithm>
-#include <cmath>
-
 #include "common/check.hpp"
 
 namespace dmis::nn {
@@ -79,29 +76,10 @@ LossResult QuadraticSoftDiceLoss::compute(const NDArray& pred,
   return {total / static_cast<double>(n), std::move(grad)};
 }
 
-LossResult BceLoss::compute(const NDArray& pred, const NDArray& target) const {
-  check_pair(pred, target);
-  constexpr double kClip = 1e-7;
-  const int64_t m = pred.numel();
-  NDArray grad(pred.shape());
-  double total = 0.0;
-  for (int64_t i = 0; i < m; ++i) {
-    const double p = std::clamp(static_cast<double>(pred[i]), kClip,
-                                1.0 - kClip);
-    const double t = target[i];
-    total += -(t * std::log(p) + (1.0 - t) * std::log(1.0 - p));
-    grad[i] = static_cast<float>((p - t) / (p * (1.0 - p)) /
-                                 static_cast<double>(m));
-  }
-  return {total / static_cast<double>(m), std::move(grad)};
-}
-
 std::unique_ptr<Loss> make_loss(const std::string& name) {
   if (name == "dice") return std::make_unique<SoftDiceLoss>();
   if (name == "qdice") return std::make_unique<QuadraticSoftDiceLoss>();
-  if (name == "bce") return std::make_unique<BceLoss>();
-  throw InvalidArgument("unknown loss '" + name +
-                        "' (expected dice|qdice|bce)");
+  throw InvalidArgument("unknown loss '" + name + "' (expected dice|qdice)");
 }
 
 }  // namespace dmis::nn

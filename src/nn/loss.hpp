@@ -2,10 +2,9 @@
 //
 // The paper trains with the soft Dice loss (its Eq. 1, epsilon = 0.1) and
 // additionally evaluates the quadratic ("V-Net") soft Dice variant, which
-// it reports as giving worse validation results. Binary cross-entropy is
-// included for completeness. All losses return the scalar value together
-// with d(loss)/d(prediction), computed per sample and averaged over the
-// batch dimension.
+// it reports as giving worse validation results. Both losses return the
+// scalar value together with d(loss)/d(prediction), computed per sample
+// and averaged over the batch dimension.
 #pragma once
 
 #include <memory>
@@ -55,15 +54,7 @@ class QuadraticSoftDiceLoss final : public Loss {
   float eps_;
 };
 
-/// Mean binary cross-entropy over all voxels.
-class BceLoss final : public Loss {
- public:
-  std::string name() const override { return "bce"; }
-  LossResult compute(const NDArray& pred,
-                     const NDArray& target) const override;
-};
-
-/// Factory by name: "dice", "qdice" or "bce".
+/// Factory by name: "dice" or "qdice".
 std::unique_ptr<Loss> make_loss(const std::string& name);
 
 }  // namespace dmis::nn

@@ -31,30 +31,4 @@ double CyclicLr::lr(int64_t step) const {
   return base_lr_ + (max_lr_ - base_lr_) * std::max(0.0, 1.0 - x);
 }
 
-WarmupLr::WarmupLr(double base_lr, double target_lr, int64_t warmup_steps)
-    : base_lr_(base_lr), target_lr_(target_lr), warmup_steps_(warmup_steps) {
-  DMIS_CHECK(base_lr > 0.0 && target_lr > 0.0, "lrs must be positive");
-  DMIS_CHECK(warmup_steps >= 0, "negative warmup " << warmup_steps);
-}
-
-double WarmupLr::lr(int64_t step) const {
-  DMIS_CHECK(step >= 0, "negative step " << step);
-  if (warmup_steps_ == 0 || step >= warmup_steps_) return target_lr_;
-  const double f = static_cast<double>(step) /
-                   static_cast<double>(warmup_steps_);
-  return base_lr_ + f * (target_lr_ - base_lr_);
-}
-
-StepDecayLr::StepDecayLr(double base_lr, double gamma, int64_t every)
-    : base_lr_(base_lr), gamma_(gamma), every_(every) {
-  DMIS_CHECK(base_lr > 0.0, "lr must be positive, got " << base_lr);
-  DMIS_CHECK(gamma > 0.0 && gamma <= 1.0, "gamma out of range: " << gamma);
-  DMIS_CHECK(every > 0, "every must be positive, got " << every);
-}
-
-double StepDecayLr::lr(int64_t step) const {
-  DMIS_CHECK(step >= 0, "negative step " << step);
-  return base_lr_ * std::pow(gamma_, static_cast<double>(step / every_));
-}
-
 }  // namespace dmis::nn

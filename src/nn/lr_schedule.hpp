@@ -44,31 +44,4 @@ class CyclicLr final : public LrSchedule {
   int64_t step_size_;
 };
 
-/// Linear warmup from base_lr to target_lr over `warmup_steps`, then flat.
-/// The standard ramp used when applying the linear batch-scaling rule.
-class WarmupLr final : public LrSchedule {
- public:
-  WarmupLr(double base_lr, double target_lr, int64_t warmup_steps);
-  double lr(int64_t step) const override;
-  std::string name() const override { return "warmup"; }
-
- private:
-  double base_lr_;
-  double target_lr_;
-  int64_t warmup_steps_;
-};
-
-/// Step decay: lr = base * gamma^(step / every).
-class StepDecayLr final : public LrSchedule {
- public:
-  StepDecayLr(double base_lr, double gamma, int64_t every);
-  double lr(int64_t step) const override;
-  std::string name() const override { return "step"; }
-
- private:
-  double base_lr_;
-  double gamma_;
-  int64_t every_;
-};
-
 }  // namespace dmis::nn

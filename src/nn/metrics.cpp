@@ -29,25 +29,4 @@ double dice_score(const NDArray& pred, const NDArray& target,
   return 2.0 * static_cast<double>(c.tp) / static_cast<double>(denom);
 }
 
-double iou_score(const NDArray& pred, const NDArray& target,
-                 float threshold) {
-  const ConfusionCounts c = confusion(pred, target, threshold);
-  const int64_t denom = c.tp + c.fp + c.fn;
-  if (denom == 0) return 1.0;
-  return static_cast<double>(c.tp) / static_cast<double>(denom);
-}
-
-double precision(const NDArray& pred, const NDArray& target,
-                 float threshold) {
-  const ConfusionCounts c = confusion(pred, target, threshold);
-  if (c.tp + c.fp == 0) return 1.0;
-  return static_cast<double>(c.tp) / static_cast<double>(c.tp + c.fp);
-}
-
-double recall(const NDArray& pred, const NDArray& target, float threshold) {
-  const ConfusionCounts c = confusion(pred, target, threshold);
-  if (c.tp + c.fn == 0) return 1.0;
-  return static_cast<double>(c.tp) / static_cast<double>(c.tp + c.fn);
-}
-
 }  // namespace dmis::nn

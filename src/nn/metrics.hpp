@@ -28,17 +28,4 @@ ConfusionCounts confusion(const NDArray& pred, const NDArray& target,
 double dice_score(const NDArray& pred, const NDArray& target,
                   float threshold = 0.5F);
 
-/// IoU (Jaccard) = TP / (TP + FP + FN); returns 1 when both masks empty.
-double iou_score(const NDArray& pred, const NDArray& target,
-                 float threshold = 0.5F);
-
-/// Precision = TP / (TP + FP); returns 1 when no positives predicted.
-double precision(const NDArray& pred, const NDArray& target,
-                 float threshold = 0.5F);
-
-/// Recall (sensitivity) = TP / (TP + FN); returns 1 when no true positives
-/// exist.
-double recall(const NDArray& pred, const NDArray& target,
-              float threshold = 0.5F);
-
 }  // namespace dmis::nn

@@ -26,36 +26,6 @@ void Optimizer::step() {
   apply();
 }
 
-Sgd::Sgd(std::vector<Param> params, double lr, double momentum)
-    : Optimizer(std::move(params), lr), momentum_(momentum) {
-  DMIS_CHECK(momentum >= 0.0 && momentum < 1.0,
-             "momentum must be in [0,1), got " << momentum);
-  velocity_.reserve(params_.size());
-  for (const Param& p : params_) velocity_.emplace_back(p.value->shape());
-}
-
-void Sgd::apply() {
-  for (size_t i = 0; i < params_.size(); ++i) {
-    NDArray& v = velocity_[i];
-    const NDArray& g = *params_[i].grad;
-    NDArray& w = *params_[i].value;
-    for (int64_t j = 0; j < w.numel(); ++j) {
-      v[j] = static_cast<float>(momentum_ * v[j] + g[j]);
-      w[j] -= static_cast<float>(lr_ * v[j]);
-    }
-  }
-}
-
-std::vector<Param> Sgd::state_params() {
-  std::vector<Param> out;
-  out.reserve(params_.size());
-  for (size_t i = 0; i < params_.size(); ++i) {
-    out.push_back(Param{"opt.velocity." + params_[i].name, &velocity_[i],
-                        &velocity_[i]});
-  }
-  return out;
-}
-
 Adam::Adam(std::vector<Param> params, double lr, double beta1, double beta2,
            double eps)
     : Optimizer(std::move(params), lr),
@@ -105,10 +75,8 @@ std::vector<Param> Adam::state_params() {
 std::unique_ptr<Optimizer> make_optimizer(const std::string& name,
                                           std::vector<Param> params,
                                           double lr) {
-  if (name == "sgd") return std::make_unique<Sgd>(std::move(params), lr, 0.9);
   if (name == "adam") return std::make_unique<Adam>(std::move(params), lr);
-  throw InvalidArgument("unknown optimizer '" + name +
-                        "' (expected sgd|adam)");
+  throw InvalidArgument("unknown optimizer '" + name + "' (expected adam)");
 }
 
 }  // namespace dmis::nn

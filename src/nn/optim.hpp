@@ -1,10 +1,9 @@
 // Optimizers.
 //
 // The paper trains with Adam at an initial learning rate of 1e-4 x #GPUs
-// (linear scaling with the data-parallel replica count); plain SGD with
-// momentum is provided as well. Optimizers hold non-owning Param
-// references — the tensors live in the layers — plus their own state
-// (momentum / moment estimates) keyed by parameter order.
+// (linear scaling with the data-parallel replica count). Optimizers hold
+// non-owning Param references — the tensors live in the layers — plus
+// their own state (moment estimates) keyed by parameter order.
 #pragma once
 
 #include <memory>
@@ -35,9 +34,9 @@ class Optimizer {
   const std::vector<Param>& params() const { return params_; }
   virtual std::string name() const = 0;
 
-  /// Named views of the optimizer's slot state (momentum / moment
-  /// estimates), for step-consistent checkpointing. Names are derived
-  /// from the parameter names ("opt.<slot>.<param>"), so they are
+  /// Named views of the optimizer's slot state (moment estimates), for
+  /// step-consistent checkpointing. Names are derived from the
+  /// parameter names ("opt.<slot>.<param>"), so they are
   /// stable across graph and optimizer reconstruction. The grad field
   /// aliases the state tensor — checkpoint I/O only touches `value`.
   virtual std::vector<Param> state_params() = 0;
@@ -48,19 +47,6 @@ class Optimizer {
   std::vector<Param> params_;
   double lr_;
   int64_t step_count_ = 0;
-};
-
-/// SGD with classical momentum (mu = 0 gives vanilla SGD).
-class Sgd final : public Optimizer {
- public:
-  Sgd(std::vector<Param> params, double lr, double momentum = 0.0);
-  std::string name() const override { return "sgd"; }
-  std::vector<Param> state_params() override;
-
- private:
-  void apply() override;
-  double momentum_;
-  std::vector<NDArray> velocity_;
 };
 
 /// Adam (Kingma & Ba 2014) with bias correction.
@@ -78,7 +64,7 @@ class Adam final : public Optimizer {
   std::vector<NDArray> v_;
 };
 
-/// Factory by name: "sgd" or "adam".
+/// Factory by name: only "adam" exists.
 std::unique_ptr<Optimizer> make_optimizer(const std::string& name,
                                           std::vector<Param> params,
                                           double lr);

@@ -46,15 +46,6 @@ struct TlsBufferHandle {
 
 thread_local TlsBufferHandle tls_handle;
 
-size_t capacity_from_env() {
-  if (const char* env = std::getenv("DMIS_TRACE_BUFFER");
-      env != nullptr && *env != '\0') {
-    const long v = std::strtol(env, nullptr, 10);
-    if (v > 0) return static_cast<size_t>(v);
-  }
-  return 65536;
-}
-
 void fill_event(TraceEvent& ev, const char* name, int64_t ts_us,
                 int64_t dur_us, bool instant,
                 std::initializer_list<TraceArg> args) {
@@ -84,7 +75,7 @@ void json_escape(std::ostream& os, const char* s) {
 
 }  // namespace
 
-Tracer::Tracer() : capacity_(capacity_from_env()) {}
+Tracer::Tracer() = default;
 
 bool Tracer::write_trace_to_env_path_once() {
   const char* path = std::getenv("DMIS_TRACE");

@@ -18,9 +18,9 @@
 // ({"traceEvents":[...]}) loadable in Perfetto (https://ui.perfetto.dev)
 // or chrome://tracing. Setting DMIS_TRACE=<path> enables tracing at
 // startup and writes the trace there at process exit. Buffers hold
-// DMIS_TRACE_BUFFER events per thread (default 65536); when one fills,
-// further events from that thread are dropped (and counted) rather than
-// overwriting history, which keeps export race-free.
+// 65536 events per thread (set_buffer_capacity() changes it); when one
+// fills, further events from that thread are dropped (and counted)
+// rather than overwriting history, which keeps export race-free.
 //
 // Span names and arg keys must be string literals (or otherwise outlive
 // the process): events store the pointers, not copies.
@@ -83,7 +83,7 @@ class Tracer {
   void disable();
 
   /// Caps future per-thread buffers at `events` entries (existing
-  /// buffers keep their size). Also settable via DMIS_TRACE_BUFFER.
+  /// buffers keep their size).
   void set_buffer_capacity(size_t events);
 
   /// Records a complete span with an explicit begin/duration — for
@@ -126,7 +126,7 @@ class Tracer {
   std::vector<std::unique_ptr<ThreadBuffer>> buffers_;  // never shrinks
   std::vector<ThreadBuffer*> free_;  // buffers whose owner thread exited
   std::atomic<int64_t> dropped_{0};
-  size_t capacity_;
+  size_t capacity_ = 65536;  // events per new thread buffer
 };
 
 /// RAII span: stamps the begin time at construction, records the event

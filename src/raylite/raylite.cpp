@@ -107,28 +107,6 @@ void RayLite::worker_loop() {
   }
 }
 
-void RayLite::acquire_resources(const Resources& req) {
-  DMIS_CHECK(req.gpus >= 0 && req.cpus >= 0, "negative resource request");
-  DMIS_CHECK(req.fits_in(total_),
-             "request exceeds cluster total");
-  std::unique_lock<std::mutex> lock(mutex_);
-  cv_.wait(lock, [&] { return req.fits_in(available_); });
-  available_.gpus -= req.gpus;
-  available_.cpus -= req.cpus;
-}
-
-void RayLite::release_resources(const Resources& req) {
-  {
-    const std::lock_guard<std::mutex> lock(mutex_);
-    available_.gpus += req.gpus;
-    available_.cpus += req.cpus;
-    DMIS_ASSERT(available_.gpus <= total_.gpus &&
-                    available_.cpus <= total_.cpus,
-                "resource release exceeds pool total");
-  }
-  cv_.notify_all();
-}
-
 Resources RayLite::available_resources() const {
   const std::lock_guard<std::mutex> lock(mutex_);
   return available_;

@@ -6,7 +6,8 @@
 // thread is available, in submission order with resource-aware skipping
 // (a small task may overtake a large one that cannot currently be
 // placed — Ray's queueing behaves the same way). submit() returns a
-// Future; get() blocks and rethrows any task exception.
+// Future; get() blocks and rethrows any task exception. Task submission
+// is the only Ray primitive tune_run needs.
 #pragma once
 
 #include <any>
@@ -41,7 +42,6 @@ class Future {
 
  private:
   friend class RayLite;
-  friend class ActorHandle;
   struct State {
     std::mutex mutex;
     std::condition_variable cv;
@@ -76,13 +76,6 @@ class RayLite {
 
   /// Number of tasks executed to completion so far.
   int64_t tasks_completed() const;
-
-  /// Blocks until `req` can be carved out of the pool, then claims it.
-  /// Used by actors, which pin resources for their lifetime.
-  void acquire_resources(const Resources& req);
-
-  /// Returns previously acquired resources to the pool.
-  void release_resources(const Resources& req);
 
  private:
   struct PendingTask {

@@ -2,11 +2,11 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdlib>
 #include <limits>
 #include <sstream>
 #include <utility>
 
+#include "common/env.hpp"
 #include "common/fault_injector.hpp"
 #include "obs/flight_recorder.hpp"
 #include "obs/metrics.hpp"
@@ -16,12 +16,6 @@ namespace dmis::serve {
 namespace {
 
 using Clock = std::chrono::steady_clock;
-
-int64_t env_int64(const char* name, int64_t fallback) {
-  const char* env = std::getenv(name);
-  if (env == nullptr || *env == '\0') return fallback;
-  return std::strtoll(env, nullptr, 10);
-}
 
 /// Thrown by the progress hook to abandon an in-flight request whose
 /// deadline passed (or whose future was already settled by the reaper).
@@ -52,13 +46,15 @@ const char* health_state_name(HealthState state) {
 ServeOptions ServeOptions::from_env() {
   ServeOptions options;
   options.num_workers = static_cast<int>(
-      env_int64("DMIS_SERVE_WORKERS", options.num_workers));
+      env_int("DMIS_SERVE_WORKERS", 1, std::numeric_limits<int>::max())
+          .value_or(options.num_workers));
   options.queue_capacity =
-      env_int64("DMIS_SERVE_QUEUE", options.queue_capacity);
-  options.default_deadline_ms =
-      env_int64("DMIS_SERVE_DEADLINE_MS", options.default_deadline_ms);
+      env_int("DMIS_SERVE_QUEUE", 1).value_or(options.queue_capacity);
+  options.default_deadline_ms = env_int("DMIS_SERVE_DEADLINE_MS", 0)
+                                    .value_or(options.default_deadline_ms);
   options.full_volume_voxel_budget =
-      env_int64("DMIS_SERVE_VOXEL_BUDGET", options.full_volume_voxel_budget);
+      env_int("DMIS_SERVE_VOXEL_BUDGET", 0)
+          .value_or(options.full_volume_voxel_budget);
   return options;
 }
 

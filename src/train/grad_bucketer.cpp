@@ -1,12 +1,12 @@
 #include "train/grad_bucketer.hpp"
 
 #include <algorithm>
-#include <cstdlib>
 #include <cstring>
 #include <exception>
 #include <span>
 
 #include "common/check.hpp"
+#include "common/env.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 
@@ -30,17 +30,11 @@ obs::Counter& buckets_fired_counter() {
 }  // namespace
 
 size_t GradBucketer::effective_bucket_bytes(size_t configured) {
-  const char* env = std::getenv("DMIS_BUCKET_BYTES");
-  if (env == nullptr || *env == '\0') {
-    DMIS_CHECK(configured > 0, "MirroredOptions::bucket_bytes must be > 0");
-    return configured;
+  if (const auto v = env_int("DMIS_BUCKET_BYTES", 1)) {
+    return static_cast<size_t>(*v);
   }
-  char* end = nullptr;
-  const unsigned long long v = std::strtoull(env, &end, 10);
-  DMIS_CHECK(end != env && *end == '\0' && v > 0,
-             "DMIS_BUCKET_BYTES must be a positive byte count, got '" << env
-                                                                      << "'");
-  return static_cast<size_t>(v);
+  DMIS_CHECK(configured > 0, "MirroredOptions::bucket_bytes must be > 0");
+  return configured;
 }
 
 GradBucketer::GradBucketer(std::vector<nn::Param> params,

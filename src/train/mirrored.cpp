@@ -237,9 +237,8 @@ void MirroredStrategy::build_group() {
   const double lr = effective_lr();
   for (int i = 0; i < r; ++i) {
     impl_->losses.push_back(nn::make_loss(options_.train.loss));
-    impl_->optimizers.push_back(nn::make_optimizer(
-        options_.train.optimizer, replicas_[static_cast<size_t>(i)]->params(),
-        lr));
+    impl_->optimizers.push_back(std::make_unique<nn::Adam>(
+        replicas_[static_cast<size_t>(i)]->params(), lr));
   }
   for (int i = 0; i < r; ++i) {
     nn::UNet3d& model = *replicas_[static_cast<size_t>(i)];

@@ -14,8 +14,7 @@ PipelineParallelStrategy::PipelineParallelStrategy(
       model_(model_options, options.num_microbatches) {
   DMIS_CHECK(options.train.epochs >= 1, "epochs must be >= 1");
   loss_ = nn::make_loss(options.train.loss);
-  optimizer_ = nn::make_optimizer(options.train.optimizer, model_.params(),
-                                  options.train.lr);
+  optimizer_ = std::make_unique<nn::Adam>(model_.params(), options.train.lr);
   if (options.train.cyclic.has_value()) {
     const auto& c = *options.train.cyclic;
     schedule_ =

@@ -37,8 +37,7 @@ Trainer::Trainer(nn::UNet3d& model, const TrainOptions& options)
              "grad_accumulation must be >= 1, got "
                  << options.grad_accumulation);
   loss_ = nn::make_loss(options.loss);
-  optimizer_ = nn::make_optimizer(options.optimizer, model.params(),
-                                  options.lr);
+  optimizer_ = std::make_unique<nn::Adam>(model.params(), options.lr);
   if (options.cyclic.has_value()) {
     schedule_ = std::make_unique<nn::CyclicLr>(options.cyclic->base_lr,
                                                options.cyclic->max_lr,

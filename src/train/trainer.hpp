@@ -1,7 +1,7 @@
 // Trainer: the single-device training loop.
 //
 // Drives one U-Net over a batched pipeline for a number of epochs:
-// forward, Dice-family loss, backward, optimizer step (optionally under
+// forward, Dice-family loss, backward, Adam step (optionally under
 // a cyclic learning-rate schedule, as the paper uses when scaling the
 // base rate), then a validation sweep computing the hard Dice score —
 // the paper's correctness reference metric.
@@ -31,8 +31,7 @@ struct CyclicLrSpec {
 struct TrainOptions {
   int64_t epochs = 10;
   double lr = 1e-4;                    ///< paper: 1e-4 x #GPUs
-  std::string optimizer = "adam";      ///< "adam" | "sgd"
-  std::string loss = "dice";           ///< "dice" | "qdice" | "bce"
+  std::string loss = "dice";           ///< "dice" | "qdice"
   std::optional<CyclicLrSpec> cyclic;  ///< unset -> constant lr
   /// When set (and a validation stream exists), the parameters are
   /// checkpointed here every time validation Dice improves.

@@ -1,4 +1,4 @@
-#include "cluster/comm_sim.hpp"
+#include "comm_sim.hpp"
 
 #include <algorithm>
 #include <functional>

@@ -6,7 +6,7 @@
 // transfers, shared-IB contention). On a grid of (world size, message
 // size) points over the paper's MareNostrum-CTE topology, every
 // confidently-predicted ordering must match the simulated ordering.
-#include "cluster/comm_sim.hpp"
+#include "comm_sim.hpp"
 
 #include <gtest/gtest.h>
 

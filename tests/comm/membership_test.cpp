@@ -63,6 +63,14 @@ TEST(MembershipTest, EnvOverridesLeaseDuration) {
   EXPECT_EQ(from_opt.lease_ms(), 5000);
   MembershipService def(1, tiny_signature());
   EXPECT_EQ(def.lease_ms(), 2000);
+
+  // A value with trailing junk is rejected, not read as its prefix.
+  for (const char* bad : {"10abc", "0", "-5", "2s"}) {
+    ::setenv("DMIS_COMM_LEASE_MS", bad, 1);
+    EXPECT_THROW(MembershipService(1, tiny_signature()), InvalidArgument)
+        << bad;
+  }
+  ::unsetenv("DMIS_COMM_LEASE_MS");
 }
 
 TEST(MembershipTest, JoinAdmitCommitAssignsNextRanks) {

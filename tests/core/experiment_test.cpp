@@ -44,8 +44,10 @@ TEST(ExperimentConfigTest, RejectsBadParams) {
                   {"augment", false}};
   EXPECT_THROW(ExperimentConfig::from_params(p), InvalidArgument);
   p["lr"] = 1e-4;
-  p["loss"] = std::string("focal");
-  EXPECT_THROW(ExperimentConfig::from_params(p), InvalidArgument);
+  for (const char* loss : {"focal", "bce"}) {
+    p["loss"] = std::string(loss);
+    EXPECT_THROW(ExperimentConfig::from_params(p), InvalidArgument) << loss;
+  }
 }
 
 }  // namespace

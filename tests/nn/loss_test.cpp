@@ -105,33 +105,10 @@ TEST(QuadraticSoftDiceLossTest, DiffersFromLinearVariant) {
   EXPECT_NE(lin, quad);
 }
 
-TEST(BceLossTest, ConfidentCorrectIsSmall) {
-  BceLoss loss;
-  NDArray pred(Shape{1, 4}, std::vector<float>{0.99F, 0.01F, 0.99F, 0.01F});
-  NDArray target(Shape{1, 4}, std::vector<float>{1.0F, 0.0F, 1.0F, 0.0F});
-  EXPECT_LT(loss.compute(pred, target).value, 0.02);
-}
-
-TEST(BceLossTest, GradientMatchesNumeric) {
-  BceLoss loss;
-  const Shape s{2, 1, 2, 2, 2};
-  check_loss_grad(loss, random_probs(s, 12), random_mask(s, 13), 1e-3F,
-                  2e-3F);
-}
-
-TEST(BceLossTest, ClampsExtremeProbabilities) {
-  BceLoss loss;
-  NDArray pred(Shape{1, 2}, std::vector<float>{0.0F, 1.0F});
-  NDArray target(Shape{1, 2}, std::vector<float>{1.0F, 0.0F});
-  const LossResult res = loss.compute(pred, target);
-  EXPECT_TRUE(std::isfinite(res.value));
-  EXPECT_TRUE(std::isfinite(res.grad[0]));
-}
-
 TEST(LossFactoryTest, CreatesByNameAndRejectsUnknown) {
   EXPECT_EQ(make_loss("dice")->name(), "dice");
   EXPECT_EQ(make_loss("qdice")->name(), "qdice");
-  EXPECT_EQ(make_loss("bce")->name(), "bce");
+  EXPECT_THROW(make_loss("bce"), InvalidArgument);
   EXPECT_THROW(make_loss("focal"), InvalidArgument);
 }
 

@@ -37,27 +37,6 @@ TEST(CyclicLrTest, RejectsBadBand) {
   EXPECT_THROW(CyclicLr(1e-4, 1e-3, 0), InvalidArgument);
 }
 
-TEST(WarmupLrTest, RampsLinearlyThenFlat) {
-  WarmupLr lr(1e-4, 8e-4, 100);
-  EXPECT_DOUBLE_EQ(lr.lr(0), 1e-4);
-  EXPECT_NEAR(lr.lr(50), (1e-4 + 8e-4) / 2.0, 1e-12);
-  EXPECT_DOUBLE_EQ(lr.lr(100), 8e-4);
-  EXPECT_DOUBLE_EQ(lr.lr(100000), 8e-4);
-}
-
-TEST(WarmupLrTest, ZeroWarmupIsTargetImmediately) {
-  WarmupLr lr(1e-4, 8e-4, 0);
-  EXPECT_DOUBLE_EQ(lr.lr(0), 8e-4);
-}
-
-TEST(StepDecayLrTest, DecaysByGammaEveryInterval) {
-  StepDecayLr lr(1.0, 0.5, 10);
-  EXPECT_DOUBLE_EQ(lr.lr(0), 1.0);
-  EXPECT_DOUBLE_EQ(lr.lr(9), 1.0);
-  EXPECT_DOUBLE_EQ(lr.lr(10), 0.5);
-  EXPECT_DOUBLE_EQ(lr.lr(25), 0.25);
-}
-
 TEST(LrScheduleTest, NegativeStepThrows) {
   CyclicLr lr(1e-4, 1e-3, 10);
   EXPECT_THROW(lr.lr(-1), InvalidArgument);

@@ -22,46 +22,43 @@ TEST(MetricsTest, ConfusionCountsAllQuadrants) {
 TEST(MetricsTest, PerfectDice) {
   NDArray mask(Shape{8}, std::vector<float>{1, 0, 1, 0, 1, 1, 0, 0});
   EXPECT_DOUBLE_EQ(dice_score(mask, mask), 1.0);
-  EXPECT_DOUBLE_EQ(iou_score(mask, mask), 1.0);
 }
 
 TEST(MetricsTest, DisjointMasksScoreZero) {
   NDArray pred(Shape{4}, std::vector<float>{1, 1, 0, 0});
   NDArray target(Shape{4}, std::vector<float>{0, 0, 1, 1});
   EXPECT_DOUBLE_EQ(dice_score(pred, target), 0.0);
-  EXPECT_DOUBLE_EQ(iou_score(pred, target), 0.0);
 }
 
 TEST(MetricsTest, KnownPartialOverlap) {
-  // pred {a,b}, target {b,c}: dice = 2*1/(2+2) = 0.5, iou = 1/3.
+  // pred {a,b}, target {b,c}: dice = 2*1/(2+2) = 0.5.
   NDArray pred(Shape{3}, std::vector<float>{1, 1, 0});
   NDArray target(Shape{3}, std::vector<float>{0, 1, 1});
   EXPECT_DOUBLE_EQ(dice_score(pred, target), 0.5);
-  EXPECT_NEAR(iou_score(pred, target), 1.0 / 3.0, 1e-12);
-  EXPECT_DOUBLE_EQ(precision(pred, target), 0.5);
-  EXPECT_DOUBLE_EQ(recall(pred, target), 0.5);
 }
 
 TEST(MetricsTest, EmptyMasksConventions) {
   NDArray zero(Shape{4}, 0.0F);
   EXPECT_DOUBLE_EQ(dice_score(zero, zero), 1.0);
-  EXPECT_DOUBLE_EQ(iou_score(zero, zero), 1.0);
-  EXPECT_DOUBLE_EQ(precision(zero, zero), 1.0);
-  EXPECT_DOUBLE_EQ(recall(zero, zero), 1.0);
 }
 
 TEST(MetricsTest, ThresholdApplied) {
   NDArray pred(Shape{2}, std::vector<float>{0.4F, 0.6F});
   NDArray target(Shape{2}, std::vector<float>{1.0F, 1.0F});
-  EXPECT_DOUBLE_EQ(recall(pred, target, 0.5F), 0.5);
-  EXPECT_DOUBLE_EQ(recall(pred, target, 0.3F), 1.0);
+  EXPECT_EQ(confusion(pred, target, 0.5F).tp, 1);
+  EXPECT_EQ(confusion(pred, target, 0.3F).tp, 2);
+  EXPECT_DOUBLE_EQ(dice_score(pred, target, 0.5F), 2.0 / 3.0);
+  EXPECT_DOUBLE_EQ(dice_score(pred, target, 0.3F), 1.0);
 }
 
 TEST(MetricsTest, DiceIsF1OfPrecisionRecall) {
   NDArray pred(Shape{6}, std::vector<float>{1, 1, 1, 0, 0, 0});
   NDArray target(Shape{6}, std::vector<float>{1, 0, 1, 1, 0, 0});
-  const double p = precision(pred, target);
-  const double r = recall(pred, target);
+  const ConfusionCounts c = confusion(pred, target);
+  const double p =
+      static_cast<double>(c.tp) / static_cast<double>(c.tp + c.fp);
+  const double r =
+      static_cast<double>(c.tp) / static_cast<double>(c.tp + c.fn);
   EXPECT_NEAR(dice_score(pred, target), 2.0 * p * r / (p + r), 1e-12);
 }
 

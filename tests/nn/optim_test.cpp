@@ -14,35 +14,6 @@ struct ScalarParam {
   std::vector<Param> params() { return {{"w", &w, &g}}; }
 };
 
-TEST(SgdTest, VanillaStepIsLrTimesGrad) {
-  ScalarParam p;
-  p.w[0] = 1.0F;
-  Sgd opt(p.params(), 0.1, 0.0);
-  p.g[0] = 2.0F;
-  opt.step();
-  EXPECT_NEAR(p.w[0], 1.0F - 0.1F * 2.0F, 1e-6F);
-}
-
-TEST(SgdTest, MomentumAccumulates) {
-  ScalarParam p;
-  Sgd opt(p.params(), 0.1, 0.5);
-  p.g[0] = 1.0F;
-  opt.step();  // v = 1, w = -0.1
-  opt.step();  // v = 1.5, w = -0.25
-  EXPECT_NEAR(p.w[0], -0.25F, 1e-6F);
-}
-
-TEST(SgdTest, MinimizesQuadratic) {
-  ScalarParam p;
-  p.w[0] = 5.0F;
-  Sgd opt(p.params(), 0.1, 0.9);
-  for (int i = 0; i < 200; ++i) {
-    p.g[0] = 2.0F * p.w[0];  // d/dw of w^2
-    opt.step();
-  }
-  EXPECT_NEAR(p.w[0], 0.0F, 1e-3F);
-}
-
 TEST(AdamTest, FirstStepMagnitudeIsLr) {
   // With bias correction, |first update| ~= lr regardless of grad scale.
   ScalarParam p;
@@ -83,16 +54,19 @@ TEST(AdamTest, MinimizesRosenbrockish2d) {
 
 TEST(OptimizerTest, ZeroGradClears) {
   ScalarParam p;
-  Sgd opt(p.params(), 0.1);
+  Adam opt(p.params(), 0.1);
   p.g[0] = 7.0F;
   opt.zero_grad();
   EXPECT_EQ(p.g[0], 0.0F);
 }
 
 TEST(OptimizerTest, SetLrTakesEffect) {
+  // Adam's bias-corrected first update is lr * g / |g|, so the step
+  // taken is the lr set after construction, not the one passed in.
   ScalarParam p;
-  Sgd opt(p.params(), 0.1, 0.0);
+  Adam opt(p.params(), 0.1);
   opt.set_lr(1.0);
+  EXPECT_EQ(opt.lr(), 1.0);
   p.g[0] = 1.0F;
   opt.step();
   EXPECT_NEAR(p.w[0], -1.0F, 1e-6F);
@@ -100,15 +74,16 @@ TEST(OptimizerTest, SetLrTakesEffect) {
 
 TEST(OptimizerTest, RejectsBadConfigs) {
   ScalarParam p;
-  EXPECT_THROW(Sgd(p.params(), -0.1), InvalidArgument);
-  EXPECT_THROW(Sgd(p.params(), 0.1, 1.5), InvalidArgument);
+  EXPECT_THROW(Adam(p.params(), -0.1), InvalidArgument);
   EXPECT_THROW(Adam(p.params(), 0.0), InvalidArgument);
+  EXPECT_THROW(Adam(p.params(), 0.1, /*beta1=*/1.5), InvalidArgument);
+  EXPECT_THROW(Adam(p.params(), 0.1, 0.9, /*beta2=*/1.0), InvalidArgument);
 }
 
 TEST(OptimizerFactoryTest, ByName) {
   ScalarParam p;
   EXPECT_EQ(make_optimizer("adam", p.params(), 0.1)->name(), "adam");
-  EXPECT_EQ(make_optimizer("sgd", p.params(), 0.1)->name(), "sgd");
+  EXPECT_THROW(make_optimizer("sgd", p.params(), 0.1), InvalidArgument);
   EXPECT_THROW(make_optimizer("rmsprop", p.params(), 0.1), InvalidArgument);
 }
 
@@ -128,12 +103,14 @@ TEST(OptimizerTest, StateParamsExposeNamedSlotState) {
   ASSERT_EQ(adam_state.size(), 2U);  // m and v per parameter
   EXPECT_EQ(adam_state[0].name, "opt.m.w");
   EXPECT_EQ(adam_state[1].name, "opt.v.w");
+  // The grad field aliases the slot tensor; checkpoint I/O reads value.
+  for (const Param& slot : adam_state) EXPECT_EQ(slot.grad, slot.value);
 
-  ScalarParam q;
-  Sgd sgd(q.params(), 0.1, 0.5);
-  const auto sgd_state = sgd.state_params();
-  ASSERT_EQ(sgd_state.size(), 1U);
-  EXPECT_EQ(sgd_state[0].name, "opt.velocity.w");
+  // Slot state is live: one step moves m and v off zero.
+  p.g[0] = 2.0F;
+  adam.step();
+  EXPECT_NE((*adam_state[0].value)[0], 0.0F);
+  EXPECT_NE((*adam_state[1].value)[0], 0.0F);
 }
 
 // The checkpoint-resume contract: copying weights + slot state +
@@ -181,33 +158,6 @@ TEST(OptimizerTest, AdamStateRoundTripResumesExactly) {
   original.step();
   wrong.step();  // step_count 1 vs the original's 9
   EXPECT_NE(a.w[0], c.w[0]);
-}
-
-TEST(OptimizerTest, SgdVelocityRoundTripResumesExactly) {
-  ScalarParam a;
-  a.w[0] = 4.0F;
-  Sgd original(a.params(), 0.1, 0.9);
-  for (int i = 0; i < 3; ++i) {
-    a.g[0] = 2.0F * a.w[0];
-    original.step();
-  }
-
-  ScalarParam b;
-  b.w[0] = a.w[0];
-  Sgd resumed(b.params(), 0.1, 0.9);
-  const auto src = original.state_params();
-  const auto dst = resumed.state_params();
-  ASSERT_EQ(src.size(), dst.size());
-  (*dst[0].value)[0] = (*src[0].value)[0];
-  resumed.set_step_count(original.step_count());
-
-  for (int i = 0; i < 5; ++i) {
-    a.g[0] = 2.0F * a.w[0];
-    original.step();
-    b.g[0] = 2.0F * b.w[0];
-    resumed.step();
-    ASSERT_EQ(a.w[0], b.w[0]) << "diverged at resumed step " << i;
-  }
 }
 
 }  // namespace

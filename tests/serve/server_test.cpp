@@ -9,6 +9,7 @@
 #include <limits>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "common/fault_injector.hpp"
@@ -433,6 +434,29 @@ TEST_F(ServerTest, OptionsFromEnvReadKnobs) {
   EXPECT_EQ(options.queue_capacity, 5);
   EXPECT_EQ(options.default_deadline_ms, 1234);
   EXPECT_EQ(options.full_volume_voxel_budget, 99);
+
+  // Malformed values are rejected up front, naming the knob, instead of
+  // being read as their numeric prefix ("1e6" -> 1) or failing later
+  // under an option name.
+  const std::pair<const char*, const char*> bad[] = {
+      {"DMIS_SERVE_VOXEL_BUDGET", "1e6"},
+      {"DMIS_SERVE_DEADLINE_MS", "5s"},
+      {"DMIS_SERVE_WORKERS", "abc"},
+      {"DMIS_SERVE_WORKERS", "0"},
+      {"DMIS_SERVE_QUEUE", "-4"},
+      {"DMIS_SERVE_DEADLINE_MS", "99999999999999999999"},
+  };
+  for (const auto& [name, value] : bad) {
+    ::setenv(name, value, 1);
+    try {
+      (void)ServeOptions::from_env();
+      ADD_FAILURE() << name << "=" << value << " was accepted";
+    } catch (const InvalidArgument& e) {
+      EXPECT_NE(std::string(e.what()).find(name), std::string::npos)
+          << e.what();
+    }
+    ::unsetenv(name);
+  }
 }
 
 TEST_F(ServerTest, ErrorKindNamesAreStable) {

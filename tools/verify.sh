@@ -4,7 +4,7 @@
 # parity against the loop-nest reference and gradchecks — where
 # indexing bugs would scribble), a
 # ThreadSanitizer pass over the concurrency-heavy suites (raylite tasks/
-# actors/tune retries, comm collectives + async comm workers — repeated
+# tune retries, comm collectives + async comm workers — repeated
 # under DMIS_COMM_ALGO=tree and =hier so every schedule's rendezvous
 # choreography is raced — the gradient bucketer and mirrored strategy,
 # the fault injector, the telemetry registry/tracer, the segmentation
