@@ -72,10 +72,12 @@ void BM_Conv3dForward1x1x1(benchmark::State& state) {
 BENCHMARK(BM_Conv3dForward1x1x1)->Apply(ConvArgs)->Unit(benchmark::kMillisecond);
 
 void BM_Conv3dBackward(benchmark::State& state) {
-  const int64_t c = state.range(0);
+  // Args: cin, cout, d, h, w of a 3x3x3 "same" convolution.
+  const int64_t cin = state.range(0), cout = state.range(1);
   Rng rng(1);
-  nn::Conv3d conv(c, c, 3, 1, 1, rng);
-  const NDArray in = random_input(Shape{1, c, 16, 16, 16}, 2);
+  nn::Conv3d conv(cin, cout, 3, 1, 1, rng);
+  const NDArray in = random_input(
+      Shape{1, cin, state.range(2), state.range(3), state.range(4)}, 2);
   const NDArray out = conv.forward1(in, true);
   const NDArray grad = random_input(out.shape(), 3);
   for (auto _ : state) {
@@ -83,20 +85,38 @@ void BM_Conv3dBackward(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_Conv3dBackward)
-    ->Arg(4)->Arg(8)
+    ->ArgNames({"cin", "cout", "d", "h", "w"})
+    ->Args({4, 4, 16, 16, 16})
+    ->Args({8, 8, 16, 16, 16})
+    // The layer shapes of the end-to-end training workloads:
+    // train_fullvol (16x32x32 input, 4 base filters) ...
+    ->Args({4, 4, 16, 32, 32})
+    ->Args({12, 4, 16, 32, 32})
+    ->Args({8, 8, 8, 16, 16})
+    // ... and train_widepatch (8^3 patches, 24 base filters).
+    ->Args({72, 24, 8, 8, 8})
+    ->Args({48, 48, 4, 4, 4})
+    ->Args({96, 96, 2, 2, 2})
     ->Unit(benchmark::kMillisecond);
 
 void BM_ConvTranspose3dForward(benchmark::State& state) {
+  // Args: channels, then the d, h, w of the input (the output doubles).
   const int64_t c = state.range(0);
   Rng rng(1);
   nn::ConvTranspose3d up(c, c, 2, 2, rng);
-  const NDArray in = random_input(Shape{1, c, 8, 8, 8}, 2);
+  const NDArray in = random_input(
+      Shape{1, c, state.range(1), state.range(2), state.range(3)}, 2);
   for (auto _ : state) {
     benchmark::DoNotOptimize(up.forward1(in, true).data());
   }
 }
 BENCHMARK(BM_ConvTranspose3dForward)
-    ->Arg(8)->Arg(16)
+    ->ArgNames({"c", "d", "h", "w"})
+    ->Args({8, 8, 8, 8})
+    ->Args({16, 8, 8, 8})
+    ->Args({16, 4, 8, 8})   // train_fullvol dec2
+    ->Args({96, 2, 2, 2})   // train_widepatch dec2
+    ->Args({96, 8, 8, 8})
     ->Unit(benchmark::kMillisecond);
 
 void BM_MaxPool3dForward(benchmark::State& state) {

@@ -130,16 +130,14 @@ std::vector<NDArray> Conv3d::backward(const NDArray& grad_output) {
     sgemm(false, true, cout_, taps, cols, gon, cols, colp, cols, gw, taps,
           /*accumulate=*/true);
 
-    // ... then the input gradient, reusing the same scratch for the
-    // column-gradient before scattering it back with col2im.
+    // ... then the input gradient, GI = col2im(W^T * GO), accumulated
+    // straight into the zeroed grad_input without a column matrix.
     if (identity_cols) {
-      // GI[Cin, P] = W[Cout, Cin]^T * GO[Cout, P] (grad_input is zeroed).
+      // GI[Cin, P] = W[Cout, Cin]^T * GO[Cout, P].
       sgemm(true, false, taps, cols, cout_, w, taps, gon, cols, gin, cols,
             /*accumulate=*/false);
     } else {
-      sgemm(true, false, taps, cols, cout_, w, taps, gon, cols, col.data(),
-            cols, /*accumulate=*/false);
-      col2im_3d(col.data(), cin_, D, H, W, k, st, p, OD, OH, OW, gin);
+      col2im_gemm_3d(w, gon, cout_, cin_, D, H, W, k, st, p, OD, OH, OW, gin);
     }
   }
   std::vector<NDArray> grads;

@@ -4,9 +4,10 @@
 // head convolutions; this layer is generic over cubic kernel size, stride
 // and padding. Weight layout is [Cout, Cin, K, K, K].
 //
-// Forward, input-gradient and weight-gradient passes all lower to im2col
-// + blocked SGEMM; the column buffer comes from the shared Workspace, so
-// steady-state steps allocate nothing inside the kernel. 1x1x1/stride-1
+// Forward and weight-gradient passes lower to im2col + blocked SGEMM;
+// the column buffer comes from the shared Workspace, so steady-state
+// steps allocate nothing inside the kernel. The input gradient uses the
+// fused GEMM + col2im kernel, which needs no column buffer. 1x1x1/stride-1
 // convolutions skip im2col and feed SGEMM directly. The direct loop-nest
 // reference these passes are differentially tested against lives in
 // tests/nn/conv_reference.hpp.

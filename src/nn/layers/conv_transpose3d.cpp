@@ -36,7 +36,7 @@ Workspace& ConvTranspose3d::workspace() {
 // (pad-0) convolution over its *own output*: that convolution's im2col
 // matrix has rows (co, kz, ky, kx) and columns indexed by this layer's
 // *input* positions, so
-//   forward:      col = W^T * X, then col2im into the output;
+//   forward:      Y  += col2im(W^T * X), fused (no column matrix);
 //   input grad:   GI  = W * im2col(GO);
 //   weight grad:  GW += X * im2col(GO)^T.
 NDArray ConvTranspose3d::forward(std::span<const NDArray* const> inputs,
@@ -53,8 +53,6 @@ NDArray ConvTranspose3d::forward(std::span<const NDArray* const> inputs,
   const int64_t OD = out_extent(D), OH = out_extent(H), OW = out_extent(W);
   NDArray out(Shape{N, cout_, OD, OH, OW});
 
-  const int64_t k = kernel_, st = stride_;
-  const int64_t taps = cout_ * k * k * k;
   const int64_t cols = D * H * W;  // input positions = column count
   const float* x = in.data();
   const float* w = weight_.data();
@@ -62,17 +60,15 @@ NDArray ConvTranspose3d::forward(std::span<const NDArray* const> inputs,
   float* y = out.data();
   const int64_t out_cs = OD * OH * OW;
 
-  std::span<float> col = workspace().scratch(taps * cols);
   for (int64_t n = 0; n < N; ++n) {
     const float* xn = x + n * cin_ * cols;
     float* yn = y + n * cout_ * out_cs;
-    // col[taps, P] = W[Cin, taps]^T * X[Cin, P]
-    sgemm(true, false, taps, cols, cin_, w, taps, xn, cols, col.data(), cols,
-          /*accumulate=*/false);
     for (int64_t co = 0; co < cout_; ++co) {
       std::fill_n(yn + co * out_cs, out_cs, b[co]);
     }
-    col2im_3d(col.data(), cout_, OD, OH, OW, k, st, /*pad=*/0, D, H, W, yn);
+    // Y[Cout, out] += col2im(W[Cin, taps]^T * X[Cin, P])
+    col2im_gemm_3d(w, xn, cin_, cout_, OD, OH, OW, kernel_, stride_,
+                   /*pad=*/0, D, H, W, yn);
   }
   return out;
 }

@@ -6,8 +6,9 @@
 // Output spatial extent is (in - 1) * stride + kernel.
 //
 // The transposed conv is the adjoint of a conv over its own output, so
-// forward is SGEMM + col2im and backward is im2col of the output
-// gradient + two SGEMMs; scratch comes from the shared Workspace. The
+// forward is the fused GEMM + col2im kernel (no scratch) and backward is
+// im2col of the output gradient + two SGEMMs, with the column buffer
+// from the shared Workspace. The
 // direct scatter/gather reference these passes are differentially
 // tested against lives in tests/nn/conv_reference.hpp.
 #pragma once

@@ -5,7 +5,9 @@
 // to allocate per step. A Workspace is a grow-only float arena: scratch(n)
 // returns a span of at least n floats that stays valid until the next
 // scratch() call, and capacity only ever grows, so after the first
-// training step every conv forward/backward is allocation-free.
+// training step every conv forward/backward is allocation-free. Only the
+// im2col passes (conv forward and weight gradient, transposed-conv
+// backward) take scratch; the fused col2im_gemm_3d passes need none.
 //
 // Sharing: Graph::add() hands every layer the graph's single Workspace
 // (layers of one graph execute sequentially, so one arena sized to the

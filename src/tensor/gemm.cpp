@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <utility>
 #include <vector>
 
 #include "common/check.hpp"
@@ -70,8 +71,6 @@ void pack_b(const float* b, int64_t ldb, bool trans, int64_t p0, int64_t j0,
   }
 }
 
-#if defined(__GNUC__) || defined(__clang__)
-
 // 8-wide float vector (lowered to whatever the target ISA offers);
 // aligned(4) keeps loads/stores legal on unaligned panel addresses.
 using v8sf = float __attribute__((vector_size(32), aligned(4)));
@@ -104,26 +103,6 @@ void micro_kernel(int64_t kc, const float* ap, const float* bp, float* acc) {
   out[4] = c20; out[5] = c21; out[6] = c30; out[7] = c31;
   out[8] = c40; out[9] = c41; out[10] = c50; out[11] = c51;
 }
-
-#else
-
-/// Portable scalar fallback of the 6x16 microkernel.
-void micro_kernel(int64_t kc, const float* ap, const float* bp, float* acc) {
-  for (int64_t c = 0; c < MR * NR; ++c) acc[c] = 0.0F;
-  for (int64_t kk = 0; kk < kc; ++kk) {
-    const float* ak = ap + kk * MR;
-    const float* bk = bp + kk * NR;
-    for (int64_t r = 0; r < MR; ++r) {
-      const float av = ak[r];
-      float* accr = acc + r * NR;
-      for (int64_t c = 0; c < NR; ++c) {
-        accr[c] += av * bk[c];
-      }
-    }
-  }
-}
-
-#endif
 
 /// Writes (or accumulates) the valid mr x nr corner of the tile into C.
 void store_tile(const float* acc, float* c, int64_t ldc, int64_t mr,
@@ -202,6 +181,256 @@ void sgemm(bool trans_a, bool trans_b, int64_t m, int64_t n, int64_t k,
       });
     }
   }
+}
+
+namespace {
+
+// Fused GEMM + col2im. Lanes are V consecutive voxels of one stride
+// residue class of the image, flattened over (z, y, x), so narrow volumes
+// (a 2^3 patch is 8 voxels) still fill most lanes; a work item is a tile
+// of up to CT image channels over a chunk of QCHUNK such lanes. V = 16 is
+// one register on AVX-512 and two elsewhere.
+constexpr int64_t V = 16;
+constexpr int CT = 4;
+constexpr int64_t QCHUNK = 64 * V;
+
+using vf = float __attribute__((vector_size(4 * V), aligned(4)));
+using vi = int32_t __attribute__((vector_size(4 * V)));
+
+inline vf loadv(const float* p) { return *reinterpret_cast<const vf*>(p); }
+
+// A broadcast spelled as vf{} + x would add +0 (turning -0 into +0 and
+// costing an add), and a per-lane loop is not lowered to one broadcast.
+template <size_t... L>
+inline vf splatv(float x, std::index_sequence<L...> /*lanes*/) {
+  return vf{((void)L, x)...};
+}
+inline vf splatv(float x) { return splatv(x, std::make_index_sequence<V>{}); }
+
+/// True when no lane of the mask `m` is set.
+inline bool none(vi m) {
+  using vl = int64_t __attribute__((vector_size(4 * V)));
+  const vl q = reinterpret_cast<vl>(m);
+  int64_t any = 0;
+  for (int64_t l = 0; l < V / 2; ++l) any |= q[l];
+  return any == 0;
+}
+
+/// The operands of one call: `im` is (channels, d, h, w) under a conv of
+/// kernel k, stride s and pad p whose output `g` is (reduced, od, oh, ow);
+/// `wt` is [reduced, channels * k3] with leading dimension ldw.
+struct Col2imGemm {
+  const float* wt;
+  const float* g;
+  float* im;
+  int64_t reduced, channels, d, h, w, k, s, p, od, oh, ow;
+  int64_t k3, ldw, cols, vol;  // k^3, channels*k^3, od*oh*ow, d*h*w
+};
+
+/// col[c] = the column value of one tap for image channel c0 + c of the
+/// tile (`wtap` points at W[0][c0][tap]), where load(r) yields the tap's
+/// lanes of reduced channel r: one FMA chain per KC block of the reduced
+/// channels, blocks summed in order — sgemm's arithmetic exactly.
+template <int NC, class Load>
+inline void tap_column(const Col2imGemm& a, const float* wtap, vf (&col)[NC],
+                       Load load) {
+  for (int64_t b0 = 0; b0 < a.reduced; b0 += KC) {
+    const int64_t b1 = std::min(a.reduced, b0 + KC);
+    vf chain[NC] = {};
+    for (int64_t r = b0; r < b1; ++r) {
+      const vf gv = load(r);
+      const float* wr = wtap + r * a.ldw;
+      for (int c = 0; c < NC; ++c) chain[c] += splatv(wr[c * a.k3]) * gv;
+    }
+    for (int c = 0; c < NC; ++c) {
+      col[c] = (b0 == 0) ? chain[c] : col[c] + chain[c];
+    }
+  }
+}
+
+/// One stride residue class (rz, ry, rx) of the image: the voxels
+/// (rz + s*tz, ry + s*ty, rx + s*tx), a dr x hr x wr sub-lattice.
+struct ResidueClass {
+  int64_t rz, ry, rx, dr, hr, wr;
+};
+
+/// One image-channel tile over lanes [q0, q0 + V) of class `rc`; `at`
+/// holds the (tz, ty, tx) of lane q0 and is advanced past the tile.
+template <int NC>
+void col2im_gemm_tile(const Col2imGemm& a, int64_t c0, const ResidueClass& rc,
+                      int64_t q0, int64_t (&at)[3]) {
+  const int64_t nq = rc.dr * rc.hr * rc.wr;
+  // With stride 1 a full tile is V contiguous image voxels.
+  const bool dense = (a.s == 1 && q0 + V <= nq);
+  // Lane coordinates in the sub-lattice, by stepping x, then y, then z.
+  vi tz{}, ty{}, tx{}, live{};
+  int64_t imidx[V] = {};
+  for (int64_t l = 0; l < V; ++l) {
+    auto& [z, y, x] = at;
+    tz[l] = static_cast<int32_t>(z);
+    ty[l] = static_cast<int32_t>(y);
+    tx[l] = static_cast<int32_t>(x);
+    live[l] = (q0 + l < nq) ? -1 : 0;
+    if (!dense) {
+      imidx[l] = ((rc.rz + a.s * z) * a.h + rc.ry + a.s * y) * a.w + rc.rx +
+                 a.s * x;
+    }
+    if (++x == rc.wr) {
+      x = 0;
+      if (++y == rc.hr) {
+        y = 0;
+        ++z;
+      }
+    }
+  }
+  // Strided or partial tiles go through a lane buffer: inserting and
+  // extracting lanes of a register one by one is slower.
+  vf acc[NC];
+  float lanes[V] = {};
+  for (int c = 0; c < NC; ++c) {
+    float* imc = a.im + (c0 + c) * a.vol;
+    if (dense) {
+      acc[c] = loadv(imc + q0);
+    } else {
+      for (int64_t l = 0; l < V; ++l) {
+        if (live[l]) lanes[l] = imc[imidx[l]];
+      }
+      acc[c] = loadv(lanes);
+    }
+  }
+
+  // When the sub-lattice has the pitch of `g`, every lane of a tap reads
+  // g at its own position plus one offset: a contiguous vector load.
+  const bool pitch_matched = (rc.hr == a.oh && rc.wr == a.ow);
+  const int64_t total = a.reduced * a.cols;  // floats in `g`
+  const vi odv = vi{} + static_cast<int32_t>(a.od);
+  const vi ohv = vi{} + static_cast<int32_t>(a.oh);
+  const vi owv = vi{} + static_cast<int32_t>(a.ow);
+  for (int64_t kz = 0; kz < a.k; ++kz) {
+    if ((rc.rz + a.p - kz) % a.s != 0) continue;
+    const int32_t offz = static_cast<int32_t>((rc.rz + a.p - kz) / a.s);
+    const vi mz = (tz + offz >= 0) & (tz + offz < odv) & live;
+    for (int64_t ky = 0; ky < a.k; ++ky) {
+      if ((rc.ry + a.p - ky) % a.s != 0) continue;
+      const int32_t offy = static_cast<int32_t>((rc.ry + a.p - ky) / a.s);
+      const vi mzy = mz & (ty + offy >= 0) & (ty + offy < ohv);
+      for (int64_t kx = 0; kx < a.k; ++kx) {
+        if ((rc.rx + a.p - kx) % a.s != 0) continue;
+        const int32_t offx = static_cast<int32_t>((rc.rx + a.p - kx) / a.s);
+        const vi m = mzy & (tx + offx >= 0) & (tx + offx < owv);
+        if (none(m)) continue;  // no lane of this tile takes the tap
+
+        const float* wtap = a.wt + c0 * a.k3 + (kz * a.k + ky) * a.k + kx;
+        vf col[NC] = {};
+        if (pitch_matched) {
+          const int64_t lo =
+              q0 + (static_cast<int64_t>(offz) * a.oh + offy) * a.ow + offx;
+          if (lo >= 0 && lo + V <= a.cols) {
+            tap_column<NC>(a, wtap, col, [&](int64_t r) {
+              return loadv(a.g + r * a.cols + lo);
+            });
+          } else {
+            // The window pokes out of the channel plane; near the ends of
+            // `g` its masked lanes may not be loaded.
+            tap_column<NC>(a, wtap, col, [&](int64_t r) {
+              const int64_t j0 = r * a.cols + lo;
+              if (j0 >= 0 && j0 + V <= total) return loadv(a.g + j0);
+              vf v{};
+              for (int64_t l = 0; l < V; ++l) {
+                if (m[l]) v[l] = a.g[j0 + l];
+              }
+              return v;
+            });
+          }
+        } else {
+          int64_t gidx[V];
+          for (int64_t l = 0; l < V; ++l) {
+            gidx[l] = ((static_cast<int64_t>(tz[l]) + offz) * a.oh + ty[l] +
+                       offy) * a.ow + tx[l] + offx;
+          }
+          tap_column<NC>(a, wtap, col, [&](int64_t r) {
+            vf v{};
+            for (int64_t l = 0; l < V; ++l) {
+              if (m[l]) v[l] = a.g[r * a.cols + gidx[l]];
+            }
+            return v;
+          });
+        }
+        for (int c = 0; c < NC; ++c) acc[c] = m ? acc[c] + col[c] : acc[c];
+      }
+    }
+  }
+
+  for (int c = 0; c < NC; ++c) {
+    float* imc = a.im + (c0 + c) * a.vol;
+    if (dense) {
+      *reinterpret_cast<vf*>(imc + q0) = acc[c];
+    } else {
+      *reinterpret_cast<vf*>(lanes) = acc[c];
+      for (int64_t l = 0; l < V; ++l) {
+        if (live[l]) imc[imidx[l]] = lanes[l];
+      }
+    }
+  }
+}
+
+}  // namespace
+
+void col2im_gemm_3d(const float* wt, const float* g, int64_t reduced,
+                    int64_t channels, int64_t d, int64_t h, int64_t w,
+                    int64_t kernel, int64_t stride, int64_t pad, int64_t od,
+                    int64_t oh, int64_t ow, float* im, ThreadPool* pool) {
+  DMIS_CHECK(reduced > 0 && channels > 0 && d > 0 && h > 0 && w > 0,
+             "col2im_gemm_3d: bad sizes reduced=" << reduced << " image "
+                 << channels << "x" << d << "x" << h << "x" << w);
+  DMIS_CHECK(kernel >= 1 && stride >= 1 && pad >= 0,
+             "col2im_gemm_3d: bad geometry k=" << kernel << " s=" << stride
+                                               << " p=" << pad);
+  DMIS_CHECK(od == (d + 2 * pad - kernel) / stride + 1 &&
+                 oh == (h + 2 * pad - kernel) / stride + 1 &&
+                 ow == (w + 2 * pad - kernel) / stride + 1 && od > 0 &&
+                 oh > 0 && ow > 0,
+             "col2im_gemm_3d: extents " << od << "x" << oh << "x" << ow
+                                        << " inconsistent with geometry");
+  const int64_t k3 = kernel * kernel * kernel;
+  const Col2imGemm a{.wt = wt, .g = g, .im = im, .reduced = reduced,
+                     .channels = channels, .d = d, .h = h, .w = w,
+                     .k = kernel, .s = stride, .p = pad, .od = od, .oh = oh,
+                     .ow = ow, .k3 = k3, .ldw = channels * k3,
+                     .cols = od * oh * ow, .vol = d * h * w};
+  const int64_t s = stride;
+  const int64_t tiles = (channels + CT - 1) / CT;
+  const int64_t classes = s * s * s;
+  const int64_t nq_max =
+      ((d + s - 1) / s) * ((h + s - 1) / s) * ((w + s - 1) / s);
+  const int64_t chunks = (nq_max + QCHUNK - 1) / QCHUNK;
+  ThreadPool& tp = (pool != nullptr) ? *pool : ThreadPool::global();
+  // Items write disjoint image voxels and each voxel's arithmetic is fixed,
+  // so the result does not depend on how items are split over threads.
+  parallel_for(tp, 0, tiles * classes * chunks, [&](int64_t lo, int64_t hi) {
+    for (int64_t item = lo; item < hi; ++item) {
+      const int64_t chunk = item % chunks;
+      const int64_t cls = item / chunks % classes;
+      const int64_t c0 = item / chunks / classes * CT;
+      const int64_t rz = cls / (s * s), ry = cls / s % s, rx = cls % s;
+      const ResidueClass rc{rz, ry, rx, (d - rz + s - 1) / s,
+                            (h - ry + s - 1) / s, (w - rx + s - 1) / s};
+      const int64_t nq = rc.dr * rc.hr * rc.wr;
+      const int64_t q_begin = chunk * QCHUNK;
+      if (q_begin >= nq) continue;  // a short (or empty) class
+      const int64_t q_end = std::min(nq, q_begin + QCHUNK);
+      int64_t at[3] = {q_begin / (rc.hr * rc.wr), q_begin / rc.wr % rc.hr,
+                       q_begin % rc.wr};
+      for (int64_t q0 = q_begin; q0 < q_end; q0 += V) {
+        switch (std::min<int64_t>(CT, channels - c0)) {
+          case 4: col2im_gemm_tile<4>(a, c0, rc, q0, at); break;
+          case 3: col2im_gemm_tile<3>(a, c0, rc, q0, at); break;
+          case 2: col2im_gemm_tile<2>(a, c0, rc, q0, at); break;
+          default: col2im_gemm_tile<1>(a, c0, rc, q0, at);
+        }
+      }
+    }
+  });
 }
 
 }  // namespace dmis

@@ -1,5 +1,6 @@
-// SGEMM: the single-precision matrix multiply backing the fast (im2col)
-// convolution kernels.
+// SGEMM: the single-precision matrix multiply backing the convolution
+// kernels, and col2im_gemm_3d, SGEMM fused with the col2im scatter for the
+// adjoint (input-gradient / transposed-conv) direction.
 //
 // C = op(A) * op(B) [+ C], row-major, with op(X) = X or X^T per the trans
 // flags. The implementation is a cache-blocked, packed GEMM in the BLIS
@@ -12,6 +13,11 @@
 //
 // Packing scratch lives in thread_local grow-only buffers, so steady-state
 // calls perform no heap allocation.
+//
+// Both kernels are compiled with -march=native (src/tensor/CMakeLists.txt),
+// which enables FMA contraction of `acc += a * b`. Bitwise results are
+// therefore reproducible within one build, not across ISAs with and
+// without FMA.
 #pragma once
 
 #include <cstdint>
@@ -32,5 +38,20 @@ class ThreadPool;
 void sgemm(bool trans_a, bool trans_b, int64_t m, int64_t n, int64_t k,
            const float* a, int64_t lda, const float* b, int64_t ldb, float* c,
            int64_t ldc, bool accumulate = false, ThreadPool* pool = nullptr);
+
+/// im += col2im(W^T * G), without forming the column matrix W^T * G.
+///
+/// `wt` is the [reduced, channels*kernel^3] matrix that sgemm would take
+/// transposed (row-major, ld = channels*kernel^3) and `g` is the
+/// [reduced, od*oh*ow] operand; `im` is (channels, d, h, w) with the
+/// geometry of im2col_3d. The result equals, bit for bit, sgemm(true,
+/// false, ...) into a column buffer followed by the col2im scatter-add:
+/// per image element, each in-range tap (in kz, ky, kx order) adds one
+/// FMA chain over the reduced channels, summed per KC block as sgemm does.
+void col2im_gemm_3d(const float* wt, const float* g, int64_t reduced,
+                    int64_t channels, int64_t d, int64_t h, int64_t w,
+                    int64_t kernel, int64_t stride, int64_t pad, int64_t od,
+                    int64_t oh, int64_t ow, float* im,
+                    ThreadPool* pool = nullptr);
 
 }  // namespace dmis

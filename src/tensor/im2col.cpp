@@ -88,56 +88,4 @@ void im2col_3d(const float* im, int64_t channels, int64_t d, int64_t h,
   });
 }
 
-void col2im_3d(const float* col, int64_t channels, int64_t d, int64_t h,
-               int64_t w, int64_t kernel, int64_t stride, int64_t pad,
-               int64_t od, int64_t oh, int64_t ow, float* im) {
-  check_geometry(channels, d, h, w, kernel, stride, pad, od, oh, ow);
-  const int64_t k = kernel;
-  // Accumulation targets only this channel's im block and the k^3 rows
-  // of one channel are replayed in the sequential order, so sharding by
-  // channel keeps the scatter-add bitwise identical (float addition is
-  // non-associative — reordering within a channel would not be).
-  parallel_for(0, channels, [&](int64_t clo, int64_t chi) {
-    for (int64_t c = clo; c < chi; ++c) {
-      const float* in = col + c * k * k * k * od * oh * ow;
-      float* imc = im + c * d * h * w;
-      for (int64_t kz = 0; kz < k; ++kz) {
-        for (int64_t ky = 0; ky < k; ++ky) {
-          for (int64_t kx = 0; kx < k; ++kx) {
-            for (int64_t z = 0; z < od; ++z) {
-              const int64_t iz = z * stride - pad + kz;
-              if (iz < 0 || iz >= d) {
-                in += oh * ow;
-                continue;
-              }
-              for (int64_t y = 0; y < oh; ++y) {
-                const int64_t iy = y * stride - pad + ky;
-                if (iy < 0 || iy >= h) {
-                  in += ow;
-                  continue;
-                }
-                float* row = imc + (iz * h + iy) * w;
-                if (stride == 1) {
-                  const int64_t off = kx - pad;
-                  const int64_t lead = clamp64(-off, 0, ow);
-                  const int64_t end = clamp64(w - off, 0, ow);
-                  for (int64_t x = lead; x < end; ++x) {
-                    row[x + off] += in[x];
-                  }
-                } else {
-                  for (int64_t x = 0; x < ow; ++x) {
-                    const int64_t ix = x * stride - pad + kx;
-                    if (ix >= 0 && ix < w) row[ix] += in[x];
-                  }
-                }
-                in += ow;
-              }
-            }
-          }
-        }
-      }
-    }
-  });
-}
-
 }  // namespace dmis

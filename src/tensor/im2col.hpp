@@ -1,12 +1,13 @@
-// im2col / col2im lowering for 3-D convolution.
+// im2col lowering for 3-D convolution.
 //
 // im2col_3d unfolds a channels-first volume (C, D, H, W) into a
 // [C*K^3, OD*OH*OW] row-major matrix: row (c, kz, ky, kx) holds, for every
 // output position (od, oh, ow), the input voxel that kernel tap touches
-// (zero where the tap falls in the padding). Convolution then becomes one
-// SGEMM against the [Cout, Cin*K^3] weight matrix; col2im_3d is the
-// adjoint scatter used by input-gradient and transposed-convolution paths
-// (it accumulates into `im`, which the caller zero- or bias-initializes).
+// (zero where the tap falls in the padding). Convolution forward and
+// weight gradient then become one SGEMM against the [Cout, Cin*K^3]
+// weight matrix. The adjoint direction (Conv3d input gradient,
+// ConvTranspose3d forward) does not materialize a column matrix: the
+// fused col2im_gemm_3d in gemm.hpp accumulates straight into the image.
 //
 // Row ordering (c slowest, then kz, ky, kx) matches the flattened weight
 // layouts of Conv3d ([Cout, Cin, K, K, K]) and ConvTranspose3d
@@ -23,12 +24,5 @@ namespace dmis {
 void im2col_3d(const float* im, int64_t channels, int64_t d, int64_t h,
                int64_t w, int64_t kernel, int64_t stride, int64_t pad,
                int64_t od, int64_t oh, int64_t ow, float* col);
-
-/// Adjoint of im2col_3d: accumulates (+=) every column entry back into its
-/// source voxel of `im`; entries over the padding are dropped. The caller
-/// initializes `im` (zeros for gradients, bias for transposed-conv output).
-void col2im_3d(const float* col, int64_t channels, int64_t d, int64_t h,
-               int64_t w, int64_t kernel, int64_t stride, int64_t pad,
-               int64_t od, int64_t oh, int64_t ow, float* im);
 
 }  // namespace dmis

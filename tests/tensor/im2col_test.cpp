@@ -4,6 +4,7 @@
 
 #include <vector>
 
+#include "col2im_reference.hpp"
 #include "common/check.hpp"
 #include "tensor/rng.hpp"
 
@@ -118,7 +119,7 @@ TEST(Im2colTest, Col2imIsAdjointOfIm2col) {
   std::vector<float> col(static_cast<size_t>(rows * cols));
   im2col_3d(x.data(), c, d, h, w, k, s, p, od, oh, ow, col.data());
   std::vector<float> back(x.size(), 0.0F);
-  col2im_3d(cg.data(), c, d, h, w, k, s, p, od, oh, ow, back.data());
+  testing::col2im_3d(cg.data(), c, d, h, w, k, s, p, od, oh, ow, back.data());
 
   double lhs = 0.0, rhs = 0.0;
   for (size_t i = 0; i < col.size(); ++i) {
@@ -134,7 +135,7 @@ TEST(Im2colTest, Col2imAccumulatesIntoExistingImage) {
   const int64_t c = 1, d = 2, h = 2, w = 2;
   std::vector<float> col(8, 1.0F);  // k=1 s=1: one row, identity scatter
   std::vector<float> im(8, 0.5F);
-  col2im_3d(col.data(), c, d, h, w, 1, 1, 0, 2, 2, 2, im.data());
+  testing::col2im_3d(col.data(), c, d, h, w, 1, 1, 0, 2, 2, 2, im.data());
   for (float v : im) EXPECT_FLOAT_EQ(v, 1.5F);
 }
 

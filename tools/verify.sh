@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
 # Repo verification: the tier-1 build + full test suite, then an
-# AddressSanitizer pass over the kernel-heavy suites (SGEMM/im2col, conv
-# parity against the loop-nest reference and gradchecks — where
-# indexing bugs would scribble), a
+# AddressSanitizer pass over the kernel-heavy suites (SGEMM/im2col, the
+# fused GEMM + col2im kernel against its unfused oracle, conv parity
+# against the loop-nest reference and gradchecks — where indexing bugs
+# would scribble), a
 # ThreadSanitizer pass over the concurrency-heavy suites (raylite tasks/
 # tune retries, comm collectives + async comm workers — repeated
 # under DMIS_COMM_ALGO=tree and =hier so every schedule's rendezvous
@@ -36,12 +37,13 @@ echo "== flake screen: comm suites repeated until-fail 3x =="
 (cd build && ctest --repeat until-fail:3 -j"${JOBS}" \
   -R '^(comm_test|chaos_dp_test|chaos_grow_test)\.' | tail -3)
 
-echo "== asan: gemm/im2col + conv parity suites =="
+echo "== asan: gemm/im2col/col2im_gemm + conv parity suites =="
 cmake -B build-asan -S . -DDMIS_SANITIZE=address >/dev/null
 cmake --build build-asan -j"${JOBS}" --target tensor_test nn_test
-./build-asan/tests/tensor_test --gtest_filter='Shapes/*:Sgemm*:Geometries/*:Im2col*'
+./build-asan/tests/tensor_test \
+  --gtest_filter='Shapes/*:Sgemm*:Geometries/*:Im2col*:Geoms/*:Col2imGemm*'
 ./build-asan/tests/nn_test \
-  --gtest_filter='ConvParity*:Grid/*:Conv3d*:ConvTranspose3d*:Sweep/*'
+  --gtest_filter='ConvParity*:Grid/*:Conv3d*:ConvTranspose3d*:Sweep/*:UNetShapes/*'
 
 echo "== tsan: raylite + comm + train + obs suites =="
 cmake -B build-tsan -S . -DDMIS_SANITIZE=thread >/dev/null
