@@ -2,6 +2,8 @@
 
 #include "common/check.hpp"
 #include "common/fault_injector.hpp"
+#include "obs/metrics.hpp"
+#include "tensor/thread_pool.hpp"
 
 namespace dmis::ray {
 
@@ -21,9 +23,16 @@ RayLite::RayLite(Resources total, int num_workers)
     : total_(total), available_(total) {
   DMIS_CHECK(total.gpus >= 0 && total.cpus >= 0, "negative resources");
   DMIS_CHECK(num_workers >= 1, "need >= 1 worker, got " << num_workers);
+  // Each worker is one tune slot and gets its share of the cores.
+  const int share = unit_share(num_workers);
+  obs::MetricsRegistry::instance().gauge("tune.intra_op_threads")
+      .set(static_cast<double>(share));
   workers_.reserve(static_cast<size_t>(num_workers));
   for (int i = 0; i < num_workers; ++i) {
-    workers_.emplace_back([this] { worker_loop(); });
+    workers_.emplace_back([this, share] {
+      set_intra_op_share(share);
+      worker_loop();
+    });
   }
 }
 

@@ -56,7 +56,9 @@ class RayLite {
  public:
   using TaskFn = std::function<std::any()>;
 
-  /// A cluster with `total` resources executed by `num_workers` threads.
+  /// A cluster with `total` resources executed by `num_workers` threads,
+  /// each running at unit_share(num_workers) of the constructing
+  /// thread's cores (tensor/thread_pool.hpp).
   RayLite(Resources total, int num_workers);
 
   /// Drains outstanding tasks, then joins the workers.

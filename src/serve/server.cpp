@@ -11,6 +11,7 @@
 #include "obs/flight_recorder.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
+#include "tensor/thread_pool.hpp"
 
 namespace dmis::serve {
 namespace {
@@ -93,9 +94,16 @@ SegmentationServer::SegmentationServer(const nn::UNet3dOptions& model_options,
   obs::MetricsRegistry::instance().gauge("serve.health").set(0.0);
   observe_world_size();
 
+  // Each worker gets its share of the cores for its intra-op loops.
+  const int share = unit_share(options_.num_workers);
+  obs::MetricsRegistry::instance().gauge("serve.intra_op_threads")
+      .set(static_cast<double>(share));
   workers_.reserve(static_cast<size_t>(options_.num_workers));
   for (int i = 0; i < options_.num_workers; ++i) {
-    workers_.emplace_back([this, i] { worker_loop(i); });
+    workers_.emplace_back([this, i, share] {
+      set_intra_op_share(share);
+      worker_loop(i);
+    });
   }
   reaper_ = std::thread([this] { reaper_loop(); });
 }

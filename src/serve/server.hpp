@@ -127,7 +127,9 @@ class SegmentationServer {
  public:
   /// Loads the checkpoint once (empty path = fresh weights), fans the
   /// weight set out to `options.num_workers` model instances and starts
-  /// the worker + reaper threads. Throws core::BackendError when the
+  /// the worker + reaper threads; each worker gets
+  /// unit_share(num_workers) of the constructing thread's cores
+  /// (tensor/thread_pool.hpp). Throws core::BackendError when the
   /// checkpoint cannot be restored.
   SegmentationServer(const nn::UNet3dOptions& model_options,
                      const std::string& checkpoint_path,

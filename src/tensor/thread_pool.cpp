@@ -6,6 +6,12 @@
 #include "common/check.hpp"
 
 namespace dmis {
+namespace {
+
+// 0 = unset: parallel_for splits over the whole pool it is handed.
+thread_local int t_intra_op_share = 0;
+
+}  // namespace
 
 ThreadPool::ThreadPool(int num_threads) {
   DMIS_CHECK(num_threads >= 1, "thread pool needs >= 1 thread, got "
@@ -83,12 +89,28 @@ ThreadPool& ThreadPool::global() {
   return pool;
 }
 
+int intra_op_share() {
+  return t_intra_op_share > 0 ? t_intra_op_share : ThreadPool::global().size();
+}
+
+void set_intra_op_share(int share) {
+  DMIS_CHECK(share >= 1, "intra-op share must be >= 1, got " << share);
+  t_intra_op_share = share;
+}
+
+int unit_share(int units) {
+  DMIS_CHECK(units >= 1, "need >= 1 unit, got " << units);
+  return std::max(1, intra_op_share() / units);
+}
+
 void parallel_for(ThreadPool& pool, int64_t begin, int64_t end,
                   const std::function<void(int64_t, int64_t)>& body) {
   const int64_t n = end - begin;
   if (n <= 0) return;
-  const int num_chunks =
-      static_cast<int>(std::min<int64_t>(n, pool.size()));
+  const int width = t_intra_op_share > 0
+                        ? std::min(pool.size(), t_intra_op_share)
+                        : pool.size();
+  const int num_chunks = static_cast<int>(std::min<int64_t>(n, width));
   if (num_chunks <= 1) {
     body(begin, end);
     return;

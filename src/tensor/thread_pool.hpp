@@ -1,4 +1,4 @@
-// Work-sharing thread pool and parallel_for.
+// Work-sharing thread pool, parallel_for, and the per-thread core budget.
 //
 // This is the shared-memory parallelism layer used by convolution kernels
 // and the data pipeline — the moral equivalent of an OpenMP
@@ -6,6 +6,16 @@
 // contiguous chunks, one per worker, and the caller blocks until all
 // chunks complete. Exceptions thrown by worker bodies are captured and
 // rethrown on the calling thread (first one wins).
+//
+// Core budget. Every thread carries an intra-op share: the most chunks
+// its parallel_for calls split into. Unset, it is the whole pool, so a
+// lone caller (main, a test) uses every core. A thread that starts `u`
+// concurrent units — the mirrored strategy's rank workers, RayLite's
+// tune slots, the segmentation server's workers — hands each of them
+// unit_share(u) = max(1, own share / u), which each unit's thread sets
+// on itself. Shares nest: a world-2 strategy inside one of 2 tune slots
+// on 4 cores gives each rank 1 core, which runs its loops inline. The
+// budget is derived from the global pool's size and is never configured.
 #pragma once
 
 #include <condition_variable>
@@ -60,9 +70,24 @@ class ThreadPool {
   bool stop_ = false;
 };
 
+/// The calling thread's intra-op share: set_intra_op_share()'s value, or
+/// ThreadPool::global().size() when this thread never set one.
+int intra_op_share();
+
+/// Sets the calling thread's intra-op share (>= 1) for the rest of its
+/// life. A unit's thread calls it once, with the unit_share() its
+/// starter computed.
+void set_intra_op_share(int share);
+
+/// The share each of `units` (>= 1) concurrent units started by the
+/// calling thread gets: max(1, intra_op_share() / units).
+int unit_share(int units);
+
 /// Splits [begin, end) into contiguous chunks across `pool` and runs
 /// `body(chunk_begin, chunk_end)` on each; blocks until completion.
-/// Falls back to inline execution for empty/small ranges or a 1-thread pool.
+/// Uses min(pool.size(), share) chunks when the calling thread set a
+/// share, pool.size() otherwise. Falls back to inline execution for
+/// empty/small ranges, a 1-thread pool or a share of 1.
 void parallel_for(ThreadPool& pool, int64_t begin, int64_t end,
                   const std::function<void(int64_t, int64_t)>& body);
 

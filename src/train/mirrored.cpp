@@ -17,6 +17,7 @@
 #include "obs/flight_recorder.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
+#include "tensor/thread_pool.hpp"
 #include "train/grad_bucketer.hpp"
 #include "train/straggler.hpp"
 
@@ -118,6 +119,12 @@ struct MirroredStrategy::Impl {
   std::vector<std::unique_ptr<GradBucketer>> bucketers;  // one per replica
   std::unique_ptr<nn::LrSchedule> schedule;
   std::unique_ptr<StragglerDetector> straggler;
+  // One long-lived worker per rank, rebuilt with the group. Each step
+  // (and the grow broadcast) submits one closure per rank; a closure
+  // blocks only on peers that are running or queued, and there is a
+  // thread for every closure, so the collectives cannot starve.
+  std::unique_ptr<ThreadPool> ranks;
+  int rank_share = 1;  // intra-op share of each rank worker
   bool elastic = false;
   bool elastic_grow = false;
   std::string ckpt_path;  // elastic_dir + "/elastic.ckpt"
@@ -262,6 +269,11 @@ void MirroredStrategy::build_group() {
   // Fresh detector per group: after an elastic shrink the surviving
   // replicas are renumbered, so old per-rank windows no longer apply.
   impl_->straggler = std::make_unique<StragglerDetector>(r);
+  impl_->ranks = std::make_unique<ThreadPool>(r);
+  impl_->rank_share = unit_share(r);
+  obs::MetricsRegistry::instance()
+      .gauge("train.intra_op_threads")
+      .set(static_cast<double>(impl_->rank_share));
 }
 
 TrainReport MirroredStrategy::fit(data::BatchStream& train,
@@ -435,10 +447,8 @@ TrainReport MirroredStrategy::fit(data::BatchStream& train,
     const int world = world_size();
     std::exception_ptr bcast_err;
     std::mutex bcast_mutex;
-    std::vector<std::thread> threads;
-    threads.reserve(static_cast<size_t>(world));
     for (int rnk = 0; rnk < world; ++rnk) {
-      threads.emplace_back([&, rnk] {
+      impl_->ranks->submit([&, rnk] {
         try {
           comm::Communicator& comm = impl_->comms[static_cast<size_t>(rnk)];
           for (nn::Param& p :
@@ -460,7 +470,7 @@ TrainReport MirroredStrategy::fit(data::BatchStream& train,
         }
       });
     }
-    for (std::thread& t : threads) t.join();
+    impl_->ranks->wait_idle();
     if (bcast_err) std::rethrow_exception(bcast_err);
     for (auto& opt : impl_->optimizers) opt->set_step_count(opt_steps);
     for (size_t s = 0; s < residuals.size(); ++s) {
@@ -520,10 +530,10 @@ TrainReport MirroredStrategy::fit(data::BatchStream& train,
 
       std::vector<double> replica_loss(static_cast<size_t>(r), 0.0);
       StepFailure failure(r);
-      std::vector<std::thread> threads;
-      threads.reserve(static_cast<size_t>(r));
       for (int i = 0; i < r; ++i) {
-        threads.emplace_back([&, i] {
+        impl_->ranks->submit([&, i] {
+          // The rank workers run nothing else, so this pins their share.
+          set_intra_op_share(impl_->rank_share);
           nn::UNet3d& model = *replicas_[static_cast<size_t>(i)];
           comm::Communicator& comm = impl_->comms[static_cast<size_t>(i)];
           GradBucketer& bucketer = *impl_->bucketers[static_cast<size_t>(i)];
@@ -621,7 +631,7 @@ TrainReport MirroredStrategy::fit(data::BatchStream& train,
           }
         });
       }
-      for (auto& t : threads) t.join();
+      impl_->ranks->wait_idle();
 
       if (failure.happened()) {
         if (!elastic) std::rethrow_exception(failure.first);

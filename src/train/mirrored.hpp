@@ -3,16 +3,19 @@
 // The paper's data-parallel path replicates the model on every GPU
 // (tf.MirroredStrategy within a node, Ray.SGD across nodes) and splits
 // each global batch across replicas, synchronizing gradients with an
-// allreduce every step. Here replicas are threads: each owns a full
-// model copy (identical initialization via a shared seed) and its own
-// optimizer; gradients are combined with the chunked ring allreduce
-// from dmis_comm through GradBucketer, which packs them into flat
-// buckets and launches each bucket's allreduce asynchronously as soon
-// as backward finishes producing it, weighted by per-replica sample
-// counts so ragged final batches remain exact. Because every replica then
-// applies the same averaged gradient to the same parameters with the
-// same optimizer state, the replicas stay bit-identical — exactly the
-// mirrored-variable invariant of the TF strategy.
+// allreduce every step. Here replicas are threads — one long-lived rank
+// worker each, rebuilt with the group on an elastic shrink or grow, and
+// each running its loops on its share of the cores (see
+// tensor/thread_pool.hpp). Each owns a full model copy (identical
+// initialization via a shared seed) and its own optimizer; gradients
+// are combined with the chunked ring allreduce from dmis_comm through
+// GradBucketer, which packs them into flat buckets and launches each
+// bucket's allreduce asynchronously as soon as backward finishes
+// producing it, weighted by per-replica sample counts so ragged final
+// batches remain exact. Because every replica then applies the same
+// averaged gradient to the same parameters with the same optimizer
+// state, the replicas stay bit-identical — exactly the mirrored-variable
+// invariant of the TF strategy.
 //
 // Failure semantics. A replica that dies mid-step poisons the comm
 // group (see comm/communicator.hpp), so every other replica surfaces a

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cmath>
 #include <cstdlib>
@@ -17,6 +18,7 @@
 #include "data/volume.hpp"
 #include "obs/metrics.hpp"
 #include "tensor/rng.hpp"
+#include "tensor/thread_pool.hpp"
 
 namespace dmis::serve {
 namespace {
@@ -78,6 +80,19 @@ class ServerTest : public ::testing::Test {
   void SetUp() override { common::FaultInjector::instance().reset(); }
   void TearDown() override { common::FaultInjector::instance().reset(); }
 };
+
+// Each worker gets its share of the cores, and the split is exported.
+TEST_F(ServerTest, WorkersSplitTheCoresAndExportTheSplit) {
+  const int global = ThreadPool::global().size();
+  for (const int workers : {1, 4}) {
+    SegmentationServer server(tiny_model(), "", base_options(workers));
+    EXPECT_EQ(obs::MetricsRegistry::instance()
+                  .gauge("serve.intra_op_threads")
+                  .value(),
+              std::max(1, global / workers))
+        << workers << " workers";
+  }
+}
 
 TEST_F(ServerTest, NominalLoadMatchesDirectServiceBitwise) {
   SegmentationServer server(tiny_model(), "", base_options(2));

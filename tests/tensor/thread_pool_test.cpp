@@ -2,8 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <mutex>
 #include <numeric>
+#include <set>
+#include <thread>
 #include <vector>
 
 #include "common/check.hpp"
@@ -86,6 +90,87 @@ TEST(ParallelForTest, SingleThreadPoolRunsInline) {
   parallel_for(pool, 0, 10,
                [&](int64_t, int64_t) { body_thread = std::this_thread::get_id(); });
   EXPECT_EQ(body_thread, caller);
+}
+
+// The share is per thread, so each case sets it on a fresh thread and
+// leaves the test runner's own thread unset.
+template <typename Fn>
+void on_fresh_thread(Fn fn) {
+  std::thread t(fn);
+  t.join();
+}
+
+// Counts the chunks one parallel_for call splits [0, 64) into and the
+// threads that ran them.
+struct ChunkCount {
+  int chunks = 0;
+  std::set<std::thread::id> threads;
+};
+
+ChunkCount count_chunks(ThreadPool& pool) {
+  ChunkCount out;
+  std::mutex mutex;
+  parallel_for(pool, 0, 64, [&](int64_t, int64_t) {
+    const std::lock_guard<std::mutex> lock(mutex);
+    ++out.chunks;
+    out.threads.insert(std::this_thread::get_id());
+  });
+  return out;
+}
+
+TEST(IntraOpShareTest, UnsetShareSplitsOverTheWholePool) {
+  ThreadPool pool(4);
+  on_fresh_thread([&] {
+    EXPECT_EQ(intra_op_share(), ThreadPool::global().size());
+    EXPECT_EQ(count_chunks(pool).chunks, 4);
+  });
+}
+
+TEST(IntraOpShareTest, ShareOneRunsInlineOnTheCaller) {
+  ThreadPool pool(4);
+  on_fresh_thread([&] {
+    set_intra_op_share(1);
+    const ChunkCount c = count_chunks(pool);
+    EXPECT_EQ(c.chunks, 1);
+    ASSERT_EQ(c.threads.size(), 1U);
+    EXPECT_EQ(*c.threads.begin(), std::this_thread::get_id());
+  });
+}
+
+TEST(IntraOpShareTest, ShareTwoGivesExactlyTwoChunks) {
+  ThreadPool pool(4);
+  on_fresh_thread([&] {
+    set_intra_op_share(2);
+    EXPECT_EQ(count_chunks(pool).chunks, 2);
+  });
+}
+
+TEST(IntraOpShareTest, ShareAbovePoolSizeIsClamped) {
+  ThreadPool pool(4);
+  on_fresh_thread([&] {
+    set_intra_op_share(16);
+    EXPECT_EQ(intra_op_share(), 16);
+    EXPECT_EQ(count_chunks(pool).chunks, 4);
+  });
+}
+
+TEST(IntraOpShareTest, UnitsSplitTheStartersShare) {
+  on_fresh_thread([] {
+    const int root = ThreadPool::global().size();
+    EXPECT_EQ(unit_share(1), root);
+    EXPECT_EQ(unit_share(2), std::max(1, root / 2));
+    set_intra_op_share(4);
+    EXPECT_EQ(unit_share(2), 2);
+    EXPECT_EQ(unit_share(3), 1);
+    EXPECT_EQ(unit_share(8), 1);  // never below one core
+  });
+}
+
+TEST(IntraOpShareTest, RejectsNonPositiveValues) {
+  on_fresh_thread([] {
+    EXPECT_THROW(set_intra_op_share(0), InvalidArgument);
+    EXPECT_THROW(unit_share(0), InvalidArgument);
+  });
 }
 
 }  // namespace

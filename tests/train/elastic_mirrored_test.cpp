@@ -10,10 +10,13 @@
 #include <cmath>
 #include <cstdlib>
 #include <filesystem>
+#include <set>
 #include <string>
+#include <string_view>
 
 #include "common/check.hpp"
 #include "common/fault_injector.hpp"
+#include "obs/trace.hpp"
 #include "tensor/rng.hpp"
 
 namespace dmis::train {
@@ -155,6 +158,51 @@ TEST_F(ElasticMirroredTest, RecoversFromMidTrainingFailure) {
     EXPECT_TRUE(std::isfinite(s.train_loss));
     EXPECT_EQ(s.steps, 2);  // both epochs complete despite the failure
   }
+}
+
+// The rank workers are rebuilt with the group: once a shrink from 3 to 2
+// has recovered, every train.backward span comes from one of exactly 2
+// threads.
+TEST_F(ElasticMirroredTest, SurvivorsRunOnWorldMinusOneRankThreads) {
+  common::FaultInjector::instance().arm_nth_call("comm.all_reduce.r2", 3);
+  obs::Tracer& tracer = obs::Tracer::instance();
+  tracer.clear();
+  tracer.enable();
+  MirroredOptions mopt;
+  mopt.num_replicas = 3;
+  mopt.train.epochs = 2;
+  mopt.train.lr = 1e-3;
+  mopt.elastic = true;
+  mopt.elastic_dir = dir_;
+  MirroredStrategy mirrored(tiny_model(), mopt);
+  data::BatchStream train(data::from_examples(make_examples(12, 4)), 3);
+  mirrored.fit(train, nullptr);
+  tracer.disable();
+  ASSERT_EQ(mirrored.recoveries(), 1);
+  ASSERT_EQ(mirrored.world_size(), 2);
+
+  const std::vector<obs::TraceEvent> events = tracer.events();
+  tracer.clear();
+  int64_t recovered_us = -1;
+  for (const obs::TraceEvent& ev : events) {
+    if (std::string_view(ev.name) == "train.elastic.recovery") {
+      recovered_us = ev.ts_us + ev.dur_us;
+    }
+  }
+  ASSERT_GE(recovered_us, 0);
+  std::set<int32_t> tids;
+  int spans = 0;
+  for (const obs::TraceEvent& ev : events) {
+    if (std::string_view(ev.name) != "train.backward" ||
+        ev.ts_us < recovered_us) {
+      continue;
+    }
+    tids.insert(ev.tid);
+    ++spans;
+  }
+  // The rest of epoch 1 replays from the checkpoint, then all of epoch 2.
+  EXPECT_GE(spans, 4 * 2);
+  EXPECT_EQ(tids.size(), 2U);
 }
 
 // Elastic recovery composes with gradient compression: a mid-training

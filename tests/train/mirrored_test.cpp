@@ -2,11 +2,19 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <any>
 #include <cmath>
+#include <set>
+#include <string_view>
 
 #include "comm/communicator.hpp"
 #include "common/check.hpp"
+#include "obs/metrics.hpp"
+#include "obs/trace.hpp"
+#include "raylite/raylite.hpp"
 #include "tensor/rng.hpp"
+#include "tensor/thread_pool.hpp"
 #include "train/grad_bucketer.hpp"
 
 namespace dmis::train {
@@ -225,6 +233,60 @@ INSTANTIATE_TEST_SUITE_P(Sweep, BucketedStrategyParity,
                          [](const ::testing::TestParamInfo<int>& info) {
                            return "replicas" + std::to_string(info.param);
                          });
+
+// Rank workers live as long as their group: every train.backward span
+// of a two-epoch fit comes from one of exactly `world` threads.
+TEST(MirroredStrategyTest, RankThreadsAreReusedAcrossSteps) {
+  obs::Tracer& tracer = obs::Tracer::instance();
+  for (const int world : {2, 3}) {
+    tracer.clear();
+    tracer.enable();
+    MirroredOptions mopt;
+    mopt.num_replicas = world;
+    mopt.train.epochs = 2;
+    mopt.train.lr = 1e-3;
+    MirroredStrategy mirrored(tiny_model(false), mopt);
+    data::BatchStream train(data::from_examples(make_examples(12, 5)), world);
+    mirrored.fit(train, nullptr);
+    tracer.disable();
+    std::set<int32_t> tids;
+    int spans = 0;
+    for (const obs::TraceEvent& ev : tracer.events()) {
+      if (std::string_view(ev.name) != "train.backward") continue;
+      tids.insert(ev.tid);
+      ++spans;
+    }
+    tracer.clear();
+    EXPECT_EQ(spans, 2 * 12) << "world " << world;  // one per sample
+    EXPECT_EQ(tids.size(), static_cast<size_t>(world)) << "world " << world;
+  }
+}
+
+// The core budget nests: a world-2 strategy inside one of two RayLite
+// slots gives each rank max(1, global / 2 / 2) cores.
+TEST(MirroredStrategyTest, RanksSplitTheirTuneSlotsShare) {
+  const int global = ThreadPool::global().size();
+  auto& reg = obs::MetricsRegistry::instance();
+  ray::RayLite cluster(ray::Resources{2, 2}, 2);
+  EXPECT_EQ(reg.gauge("tune.intra_op_threads").value(),
+            std::max(1, global / 2));
+  ray::Future slot = cluster.submit(ray::Resources{1, 1}, [&]() -> std::any {
+    const int slot_share = intra_op_share();
+    MirroredOptions mopt;
+    mopt.num_replicas = 2;
+    mopt.train.epochs = 1;
+    mopt.train.lr = 1e-3;
+    MirroredStrategy mirrored(tiny_model(false), mopt);
+    data::BatchStream train(data::from_examples(make_examples(4, 5)), 2);
+    mirrored.fit(train, nullptr);
+    const double rank_share = reg.gauge("train.intra_op_threads").value();
+    return std::pair<int, double>(slot_share, rank_share);
+  });
+  const auto [slot_share, rank_share] =
+      std::any_cast<std::pair<int, double>>(slot.get());
+  EXPECT_EQ(slot_share, std::max(1, global / 2));
+  EXPECT_EQ(rank_share, std::max(1, global / 2 / 2));
+}
 
 TEST(MirroredStrategyTest, RejectsBadReplicaCount) {
   MirroredOptions mopt;
