@@ -6,6 +6,7 @@
 #include <sstream>
 #include <utility>
 
+#include "comm/algorithms.hpp"
 #include "common/check.hpp"
 #include "common/env.hpp"
 #include "common/fault_injector.hpp"
@@ -39,9 +40,6 @@ struct CommMetrics {
   obs::Counter& timeouts;
   obs::Counter& aborts;
   obs::Counter& fenced;
-  obs::Counter& algo_ring;
-  obs::Counter& algo_tree;
-  obs::Counter& algo_hier;
   obs::Gauge& async_inflight;
   obs::Histogram& barrier_wait_us;
 
@@ -55,20 +53,9 @@ struct CommMetrics {
                          reg.counter("comm.timeouts"),
                          reg.counter("comm.aborts"),
                          reg.counter("comm.fenced"),
-                         reg.counter("comm.allreduce.algo.ring"),
-                         reg.counter("comm.allreduce.algo.tree"),
-                         reg.counter("comm.allreduce.algo.hier"),
                          reg.gauge("comm.async.inflight"),
                          reg.histogram("comm.barrier_wait_us")};
     return m;
-  }
-
-  obs::Counter& algo_calls(AllReduceAlgo algo) {
-    switch (algo) {
-      case AllReduceAlgo::kTree: return algo_tree;
-      case AllReduceAlgo::kHier: return algo_hier;
-      default: return algo_ring;
-    }
   }
 };
 
@@ -143,46 +130,16 @@ void wait_all(std::vector<AsyncRequest>& requests) {
 }
 
 CollectiveContext::CollectiveContext(int size, int64_t timeout_ms)
-    : CollectiveContext(size, [&] {
-        GroupOptions options;
-        options.timeout_ms = timeout_ms;
-        return options;
-      }()) {}
-
-CollectiveContext::CollectiveContext(int size, const GroupOptions& options)
     : size_(size),
-      timeout_ms_(options.timeout_ms < 0
+      timeout_ms_(timeout_ms < 0
                       ? env_int("DMIS_COMM_TIMEOUT_MS", 0).value_or(0)
-                      : options.timeout_ms),
+                      : timeout_ms),
       ptrs_(static_cast<size_t>(size), nullptr),
       cptrs_(static_cast<size_t>(size), nullptr),
       sizes_(static_cast<size_t>(size), 0),
       rank_state_(static_cast<size_t>(size)),
       agree_joined_(static_cast<size_t>(size), false) {
   DMIS_CHECK(size >= 1, "communicator group needs >= 1 rank, got " << size);
-  // Env overrides beat the explicit options — the operator's knob must
-  // not lose to a hard-coded GroupOptions in some call site. Internal
-  // groups (the tuner's calibration probes) are the one exception:
-  // resolving their pinned ring back through DMIS_COMM_ALGO=auto would
-  // recurse into the calibration constructing them.
-  algo_ = options.internal
-              ? options.algo.value_or(AllReduceAlgo::kRing)
-              : env_all_reduce_algo().value_or(
-                    options.algo.value_or(AllReduceAlgo::kRing));
-  const int opt_rpn = options.ranks_per_node < 0 ? 0 : options.ranks_per_node;
-  const int rpn = options.internal
-                      ? opt_rpn
-                      : env_ranks_per_node().value_or(opt_rpn);
-  ranks_per_node_ = (rpn <= 0 || rpn > size) ? size : rpn;
-  // The tuner only pays for calibration when auto is actually in play
-  // (calibration itself builds a throwaway ring group — a concrete
-  // algorithm here is what keeps that from recursing).
-  const CommCostParams cost =
-      options.cost.has_value()
-          ? *options.cost
-          : (algo_ == AllReduceAlgo::kAuto ? CommCostParams::calibrated()
-                                           : CommCostParams::defaults());
-  tuner_ = std::make_unique<AlgoTuner>(cost, size, ranks_per_node_);
   queues_.reserve(static_cast<size_t>(size));
   for (int r = 0; r < size; ++r) {
     queues_.push_back(std::make_unique<RankQueue>());
@@ -579,51 +536,34 @@ void Communicator::all_reduce_mean(std::span<float> data) {
 }
 
 AsyncRequest Communicator::all_reduce_sum_async(std::span<float> data,
-                                                float scale,
-                                                WireFormat wire) {
-  return ctx_->submit(rank_, [this, data, scale, wire] {
-    all_reduce_impl(data, scale, wire);
-  });
+                                                float scale) {
+  return ctx_->submit(rank_,
+                      [this, data, scale] { all_reduce_impl(data, scale); });
 }
 
 AsyncRequest Communicator::all_reduce_sum_async(
-    std::vector<std::span<float>> buffers, float scale, WireFormat wire) {
-  return ctx_->submit(rank_,
-                      [this, buffers = std::move(buffers), scale, wire] {
+    std::vector<std::span<float>> buffers, float scale) {
+  return ctx_->submit(rank_, [this, buffers = std::move(buffers), scale] {
     for (const std::span<float> data : buffers) {
-      all_reduce_impl(data, scale, wire);
+      all_reduce_impl(data, scale);
     }
   });
 }
 
-void Communicator::all_reduce_impl(std::span<float> data, float scale,
-                                   WireFormat wire) {
+void Communicator::all_reduce_impl(std::span<float> data, float scale) {
   inject("comm.all_reduce", rank_);
   const int n = size();
-  // Auto resolves here, per message: choose() is a pure function of the
-  // byte count and wire format on an immutable tuner, so every SPMD
-  // rank lands on the same schedule without communicating about it.
-  AllReduceAlgo algo = ctx_->algo();
-  if (algo == AllReduceAlgo::kAuto) {
-    algo = ctx_->tuner().choose(data.size() * sizeof(float), wire);
-  }
   DMIS_TRACE_SPAN("comm.allreduce",
                   {{"bytes", static_cast<int64_t>(data.size() *
                                                   sizeof(float))},
-                   {"ranks", n},
-                   {"algo", static_cast<int64_t>(algo)},
-                   {"wire", static_cast<int64_t>(wire)}});
+                   {"ranks", n}});
   CommMetrics& metrics = CommMetrics::get();
   metrics.allreduce_calls.add(1);
-  // data.size() is the *wire* length — under compression this counter
-  // reports the bytes peers actually pull, which is what the bench's
-  // bytes-on-wire gate measures.
   metrics.allreduce_bytes.add(
       static_cast<int64_t>(data.size() * sizeof(float)));
-  metrics.algo_calls(algo).add(1);
   if (n == 1) {
     if (scale != 1.0F) {
-      wire_kernels(wire).scale(data.data(), 0, data.size(), scale);
+      for (float& v : data) v *= scale;
     }
     return;
   }
@@ -638,7 +578,7 @@ void Communicator::all_reduce_impl(std::span<float> data, float scale,
                                                      << ", rank " << rank_
                                                      << " has " << data.size());
   CollectiveOps ops(&ctx, rank_, deadline);
-  strategy_for(algo).run(ops, data, scale, wire);
+  ring_all_reduce(ops, data, scale);
 }
 
 void Communicator::reduce_sum(std::span<float> data, int root) {
@@ -703,13 +643,7 @@ std::vector<float> Communicator::all_gather_impl(
 }
 
 std::vector<Communicator> make_group(int size, int64_t timeout_ms) {
-  GroupOptions options;
-  options.timeout_ms = timeout_ms;
-  return make_group(size, options);
-}
-
-std::vector<Communicator> make_group(int size, const GroupOptions& options) {
-  auto ctx = std::make_shared<CollectiveContext>(size, options);
+  auto ctx = std::make_shared<CollectiveContext>(size, timeout_ms);
   std::vector<Communicator> comms;
   comms.reserve(static_cast<size_t>(size));
   for (int r = 0; r < size; ++r) comms.emplace_back(ctx, r);

@@ -7,15 +7,11 @@
 // MPI naming scheme: a fixed group of `size` ranks, each owning a
 // Communicator handle bound to a shared CollectiveContext.
 //
-// all_reduce_sum runs a real communication schedule — by default the
-// *chunked ring* NCCL uses (reduce-scatter + all-gather, 2(n-1)
-// barrier-separated steps) rather than a trivial shared-memory
+// all_reduce_sum runs a real communication schedule — the *chunked
+// ring* NCCL uses (reduce-scatter + all-gather, 2(n-1) barrier-separated
+// steps, comm/algorithms.hpp) rather than a trivial shared-memory
 // reduction, so the communication structure (and the 2*(n-1)/n
-// traffic factor modeled by the cluster simulator) is real. The
-// schedule is pluggable (comm/algorithms.hpp): DMIS_COMM_ALGO or
-// GroupOptions::algo selects ring, recursive halving/doubling (tree),
-// an intra-node-ring + inter-node-tree hierarchy (hier), or auto —
-// a calibrated AlgoTuner (comm/algo_tuner.hpp) picking per message.
+// traffic factor modeled by the cluster simulator) is real.
 //
 // Usage is SPMD: every rank must call the same collectives in the same
 // order. Blocking collectives block until the whole group participates.
@@ -65,44 +61,17 @@
 #include <functional>
 #include <memory>
 #include <mutex>
-#include <optional>
 #include <span>
 #include <string>
 #include <thread>
 #include <vector>
 
-#include "comm/algo_tuner.hpp"
-#include "comm/algorithms.hpp"
 #include "common/check.hpp"
 
 namespace dmis::comm {
 
 class CollectiveContext;
 class Communicator;
-
-/// Group construction knobs. The DMIS_COMM_ALGO / DMIS_COMM_RANKS_PER_NODE
-/// env overrides always win over the explicit fields here — an operator
-/// retuning a deployment must not lose to a hard-coded option.
-struct GroupOptions {
-  /// Per-collective deadline: < 0 resolves DMIS_COMM_TIMEOUT_MS
-  /// (unset/empty -> 0), 0 waits forever.
-  int64_t timeout_ms = -1;
-  /// All-reduce schedule; unset -> ring (the bitwise-stable default).
-  /// kAuto enables the AlgoTuner. Env DMIS_COMM_ALGO wins.
-  std::optional<AllReduceAlgo> algo;
-  /// Logical ranks per node for the hierarchical algorithm and the
-  /// tuner's topology: -1 resolves DMIS_COMM_RANKS_PER_NODE, 0 = flat
-  /// (single node). Env wins over an explicit value.
-  int ranks_per_node = -1;
-  /// Pinned tuner cost parameters (tests / simulation studies);
-  /// unset -> CommCostParams::calibrated() when kAuto is in play.
-  std::optional<CommCostParams> cost;
-  /// Skip DMIS_COMM_ALGO / DMIS_COMM_RANKS_PER_NODE resolution. Set by
-  /// the tuner's own calibration groups: under `DMIS_COMM_ALGO=auto`
-  /// the env would otherwise override their pinned ring back to auto
-  /// and recurse into the calibration that is constructing them.
-  bool internal = false;
-};
 
 /// Why a collective failed.
 enum class CommErrorKind {
@@ -175,8 +144,6 @@ class CollectiveContext {
   /// `timeout_ms` is the per-collective deadline: < 0 resolves
   /// DMIS_COMM_TIMEOUT_MS (unset/empty -> 0), 0 waits forever.
   explicit CollectiveContext(int size, int64_t timeout_ms = -1);
-  /// Full-knob constructor; env overrides resolve here, once.
-  CollectiveContext(int size, const GroupOptions& options);
   ~CollectiveContext();
 
   CollectiveContext(const CollectiveContext&) = delete;
@@ -186,17 +153,6 @@ class CollectiveContext {
 
   /// Effective per-collective deadline in ms (0 = none).
   int64_t timeout_ms() const { return timeout_ms_; }
-
-  /// Resolved all-reduce algorithm (env > options > ring). kAuto means
-  /// the tuner picks per message size.
-  AllReduceAlgo algo() const { return algo_; }
-
-  /// Effective ranks per node in [1, size]: size when flat.
-  int ranks_per_node() const { return ranks_per_node_; }
-
-  /// The tuner backing kAuto (constructed for any algo so callers can
-  /// inspect predictions; choose() is only consulted under kAuto).
-  const AlgoTuner& tuner() const { return *tuner_; }
 
   /// True once the group has been poisoned (sticky).
   bool aborted() const { return aborted_.load(std::memory_order_acquire); }
@@ -276,9 +232,6 @@ class CollectiveContext {
 
   int size_;
   int64_t timeout_ms_ = 0;
-  AllReduceAlgo algo_ = AllReduceAlgo::kRing;
-  int ranks_per_node_ = 1;  // effective: in [1, size_]
-  std::unique_ptr<AlgoTuner> tuner_;
   std::vector<float*> ptrs_;          // per-rank buffer registration
   std::vector<const float*> cptrs_;   // per-rank const registration
   std::vector<size_t> sizes_;
@@ -316,25 +269,21 @@ class CollectiveContext {
   int flight_token_ = -1;
 };
 
-/// One rank's view of one in-flight collective — the surface an
-/// AllReduceStrategy builds on. Constructed by the Communicator after
-/// the registration rendezvous, so peer() pointers are already valid.
-/// Every strategy step must end with sync(); the strategy's final sync
-/// is what licenses ranks to leave (no peer reads a buffer after it).
+/// One rank's view of one in-flight collective — the surface the ring
+/// schedule (comm/algorithms.hpp) builds on. Constructed by the
+/// Communicator after the registration rendezvous, so peer() pointers
+/// are already valid. Every schedule step must end with sync(); the
+/// final sync is what licenses ranks to leave (no peer reads a buffer
+/// after it).
 class CollectiveOps {
  public:
   int rank() const { return rank_; }
   int world() const { return ctx_->size(); }
-  int ranks_per_node() const { return ctx_->ranks_per_node(); }
 
-  /// This rank's registered buffer.
-  float* mine() const { return ctx_->ptrs_[static_cast<size_t>(rank_)]; }
   /// Rank r's registered buffer (valid between syncs).
   const float* peer(int r) const {
     return ctx_->ptrs_[static_cast<size_t>(r)];
   }
-  /// Element count (identical on every rank — checked at entry).
-  size_t len() const { return ctx_->sizes_[static_cast<size_t>(rank_)]; }
 
   /// Global deadline-aware barrier over all world() ranks.
   void sync() { ctx_->sync(deadline_, rank_); }
@@ -360,15 +309,6 @@ class Communicator {
 
   /// Per-collective deadline in ms (0 = none).
   int64_t timeout_ms() const { return ctx_->timeout_ms(); }
-
-  /// Resolved all-reduce algorithm (kAuto = tuner picks per message).
-  AllReduceAlgo algo() const { return ctx_->algo(); }
-
-  /// Effective topology: ranks per node in [1, size] (size when flat).
-  int ranks_per_node() const { return ctx_->ranks_per_node(); }
-
-  /// The tuner backing kAuto (also inspectable under fixed algorithms).
-  const AlgoTuner& tuner() const { return ctx_->tuner(); }
 
   /// True once the group has been poisoned.
   bool aborted() const { return ctx_->aborted(); }
@@ -415,19 +355,14 @@ class Communicator {
   /// untouched until wait() returns. `scale` is folded into the ring
   /// exactly as in all_reduce_mean (every element of the result is the
   /// group sum times `scale`); all ranks must pass the same value.
-  /// `wire` selects the element encoding of `data` (compress.hpp):
-  /// under kFp16 the buffer holds packed half pairs and every reduction
-  /// step decodes/adds in fp32 and rounds once back to the wire.
   AsyncRequest all_reduce_sum_async(std::span<float> data,
-                                    float scale = 1.0F,
-                                    WireFormat wire = WireFormat::kFp32);
+                                    float scale = 1.0F);
 
   /// Group launch: one submission covering several buffers, reduced
   /// back-to-back by the comm worker in the given order under a single
   /// completion handle — the fused-bucket form used by GradBucketer.
   AsyncRequest all_reduce_sum_async(std::vector<std::span<float>> buffers,
-                                    float scale = 1.0F,
-                                    WireFormat wire = WireFormat::kFp32);
+                                    float scale = 1.0F);
 
   /// Sums every rank's buffer into root's buffer (others unchanged).
   void reduce_sum(std::span<float> data, int root);
@@ -438,12 +373,9 @@ class Communicator {
 
  private:
   /// Common all-reduce entry: fault point, metrics/span, heartbeat,
-  /// registration rendezvous, then dispatch to the resolved strategy
-  /// (kAuto consults the tuner per message size and wire format).
-  /// `scale` != 1 is folded into each element's final accumulation
-  /// (mean fusion, in the wire's arithmetic).
-  void all_reduce_impl(std::span<float> data, float scale,
-                       WireFormat wire = WireFormat::kFp32);
+  /// registration rendezvous, then the ring. `scale` != 1 is folded
+  /// into each element's final accumulation (mean fusion).
+  void all_reduce_impl(std::span<float> data, float scale);
   void broadcast_impl(std::span<float> data, int root);
   void reduce_sum_impl(std::span<float> data, int root);
   std::vector<float> all_gather_impl(std::span<const float> data);
@@ -460,8 +392,5 @@ class Communicator {
 /// Creates one communicator per rank over a fresh shared context.
 /// `timeout_ms` < 0 resolves DMIS_COMM_TIMEOUT_MS (unset -> no deadline).
 std::vector<Communicator> make_group(int size, int64_t timeout_ms = -1);
-
-/// Same, with the full knob set (algorithm, topology, tuner params).
-std::vector<Communicator> make_group(int size, const GroupOptions& options);
 
 }  // namespace dmis::comm

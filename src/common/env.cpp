@@ -2,6 +2,8 @@
 
 #include <cerrno>
 #include <cstdlib>
+#include <cstring>
+#include <initializer_list>
 
 #include "common/check.hpp"
 
@@ -18,6 +20,20 @@ std::optional<int64_t> env_int(const char* name, int64_t min, int64_t max) {
              name << " must be an integer in [" << min << ", " << max
                   << "], got '" << env << "'");
   return static_cast<int64_t>(v);
+}
+
+std::optional<bool> env_bool(const char* name) {
+  const char* env = std::getenv(name);
+  if (env == nullptr || *env == '\0') return std::nullopt;
+  for (const char* on : {"1", "true", "on"}) {
+    if (std::strcmp(env, on) == 0) return true;
+  }
+  for (const char* off : {"0", "false", "off"}) {
+    if (std::strcmp(env, off) == 0) return false;
+  }
+  DMIS_CHECK(false, name << " must be one of 1/0, true/false, on/off, got '"
+                         << env << "'");
+  return std::nullopt;  // unreachable
 }
 
 }  // namespace dmis

@@ -12,11 +12,13 @@
 #include <cstdlib>
 #include <cstring>
 #include <map>
+#include <optional>
 #include <sstream>
 #include <utility>
 #include <vector>
 
 #include "common/check.hpp"
+#include "common/env.hpp"
 #include "common/logging.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
@@ -374,17 +376,21 @@ void TelemetryServer::handle_connection(int fd) {
 
 TelemetryServer* TelemetryServer::from_env() {
   static TelemetryServer* server = []() -> TelemetryServer* {
-    const char* env = std::getenv("DMIS_OBS_PORT");
-    if (env == nullptr || *env == '\0') return nullptr;
-    const long port = std::strtol(env, nullptr, 10);
-    if (port < 0 || port > 65535) {
-      DMIS_LOG(kWarn) << "DMIS_OBS_PORT=" << env
-                      << " is not a valid port; telemetry server disabled";
+    // This runs in a static initializer, where a throw would terminate
+    // the process: a malformed knob disables the server with a warning.
+    std::optional<int64_t> port;
+    int64_t linger_ms = 0;
+    try {
+      port = env_int("DMIS_OBS_PORT", 0, 65535);
+      if (!port) return nullptr;
+      linger_ms = env_int("DMIS_OBS_LINGER_MS", 0).value_or(0);
+    } catch (const InvalidArgument& e) {
+      DMIS_LOG(kWarn) << e.what() << "; telemetry server disabled";
       return nullptr;
     }
     TelemetryServer* s = nullptr;
     try {
-      s = new TelemetryServer(static_cast<uint16_t>(port));
+      s = new TelemetryServer(static_cast<uint16_t>(*port));
     } catch (const Error& e) {
       DMIS_LOG(kWarn) << "telemetry server disabled: " << e.what();
       return nullptr;
@@ -392,18 +398,15 @@ TelemetryServer* TelemetryServer::from_env() {
     DMIS_LOG(kInfo) << "telemetry server serving /metrics /healthz /spans "
                        "on port "
                     << s->port();
-    if (const char* linger_env = std::getenv("DMIS_OBS_LINGER_MS");
-        linger_env != nullptr && *linger_env != '\0') {
-      static long linger_ms = std::strtol(linger_env, nullptr, 10);
-      if (linger_ms > 0) {
-        // Keep serving through process exit so a polling scraper can
-        // take a final scrape after all counters settled — the
-        // live-scrape/TuneResult reconciliation in tools/verify.sh
-        // depends on this window.
-        std::atexit([] {
-          std::this_thread::sleep_for(std::chrono::milliseconds(linger_ms));
-        });
-      }
+    if (linger_ms > 0) {
+      // Keep serving through process exit so a polling scraper can
+      // take a final scrape after all counters settled — the
+      // live-scrape/TuneResult reconciliation in tools/verify.sh
+      // depends on this window.
+      static const int64_t linger = linger_ms;
+      std::atexit([] {
+        std::this_thread::sleep_for(std::chrono::milliseconds(linger));
+      });
     }
     return s;
   }();

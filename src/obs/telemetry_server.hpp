@@ -19,7 +19,9 @@
 // DMIS_OBS_LINGER_MS=<ms> keeps the server up that long at process
 // exit, so a scraper polling a short-lived run can take a final scrape
 // after all counters have settled — this is what lets a live scrape
-// reconcile exactly with the final TuneResult.
+// reconcile exactly with the final TuneResult. Both are read through
+// env_int: a malformed or out-of-range value ("abc", "80abc", "4s")
+// leaves the server off with a warning rather than misreading it.
 //
 // The exporter renders from MetricsRegistry::snapshot() and
 // Tracer::events(), both safe against concurrent updates, so scraping

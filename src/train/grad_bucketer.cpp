@@ -38,11 +38,8 @@ size_t GradBucketer::effective_bucket_bytes(size_t configured) {
 }
 
 GradBucketer::GradBucketer(std::vector<nn::Param> params,
-                           comm::Communicator& comm, size_t bucket_bytes,
-                           comm::CompressOptions compress)
-    : comm_(comm),
-      compress_(comm::CompressOptions::resolved(compress)),
-      compressor_(comm::make_compressor(compress_, comm.size())) {
+                           comm::Communicator& comm, size_t bucket_bytes)
+    : comm_(comm) {
   DMIS_CHECK(bucket_bytes > 0, "bucket_bytes must be > 0");
   slots_.reserve(params.size());
   for (nn::Param& p : params) {
@@ -107,21 +104,6 @@ GradBucketer::GradBucketer(std::vector<nn::Param> params,
   for (size_t b = 0; b < buckets_.size(); ++b) {
     for (const size_t i : buckets_[b].slots) slots_[i].bucket = b;
   }
-  if (compressor_ != nullptr) {
-    for (Bucket& bucket : buckets_) {
-      const size_t n = logical_len(bucket);
-      bucket.wire.resize(compressor_->wire_len(n));
-      if (compressor_->error_feedback()) bucket.residual.assign(n, 0.0F);
-    }
-  }
-}
-
-size_t GradBucketer::logical_len(const Bucket& bucket) const {
-  if (bucket.direct) {
-    return static_cast<size_t>(
-        slots_[bucket.slots.front()].param.grad->numel());
-  }
-  return bucket.buf.size();
 }
 
 void GradBucketer::begin_step(float pack_scale, float unpack_scale) {
@@ -136,14 +118,6 @@ void GradBucketer::begin_step(float pack_scale, float unpack_scale) {
   unpack_scale_ = unpack_scale;
   fired_ = 0;
   first_fire_us_ = -1;
-  // Error-feedback residuals mutate as buckets fire (this step's grads
-  // accumulate in, selected entries zero out). If the step aborts after
-  // some buckets fired, those entries were never delivered — without a
-  // rollback the retried step would double-count unsent mass and lose
-  // the sent-but-undelivered mass. Snapshot now; abandon() restores.
-  if (compressor_ != nullptr && compressor_->error_feedback()) {
-    residual_snapshot_ = export_residuals();
-  }
   armed_ = true;
 }
 
@@ -174,43 +148,11 @@ void GradBucketer::fire_ready_prefix() {
 
 void GradBucketer::fire(Bucket& bucket) {
   DMIS_ASSERT(!bucket.fired, "bucket launched twice in one step");
-  // fp16 fast path: the codec IS the pack pass. Each tensor encodes
-  // straight into the wire with pack_scale folded into the conversion —
-  // the same reads the memcpy pack would issue, half the writes, and
-  // the collective then moves half the bytes. No staging through buf,
-  // no pre-scale pass for direct buckets.
-  if (compress_.mode == comm::CompressMode::kFp16) {
-    const size_t n = logical_len(bucket);
-    const size_t bytes = n * sizeof(float);
-    const size_t wire_bytes = bucket.wire.size() * sizeof(float);
-    auto* halves = reinterpret_cast<uint16_t*>(bucket.wire.data());
-    {
-      DMIS_TRACE_SPAN("train.grad_sync.compress",
-                      {{"bytes_in", static_cast<int64_t>(bytes)},
-                       {"bytes_out", static_cast<int64_t>(wire_bytes)}});
-      for (const size_t i : bucket.slots) {
-        const Slot& slot = slots_[i];
-        comm::fp16_pack_scale(slot.param.grad->data(),
-                              static_cast<size_t>(slot.param.grad->numel()),
-                              halves + slot.offset, pack_scale_);
-      }
-    }
-    comm::note_compression(bytes, wire_bytes);
-    bucket.request = comm_.all_reduce_sum_async(
-        std::span<float>(bucket.wire.data(), bucket.wire.size()),
-        unpack_scale_, comm::WireFormat::kFp16);
-    bucket_bytes_histogram().observe(static_cast<double>(bytes));
-    buckets_fired_counter().add(1);
-    if (first_fire_us_ < 0) first_fire_us_ = obs::Tracer::now_us();
-    bucket.fired = true;
-    ++fired_;
-    return;
-  }
   std::span<float> logical;
   if (bucket.direct) {
     // Zero-copy: pre-scale the gradient in place (the cache-warm moment,
-    // right after backward produced it); uncompressed, its own storage
-    // is then ring-reduced with no pack or unpack pass at all.
+    // right after backward produced it); its own storage is then
+    // ring-reduced with no pack or unpack pass at all.
     NDArray& grad = *slots_[bucket.slots.front()].param.grad;
     if (pack_scale_ != 1.0F) grad.scale_(pack_scale_);
     logical = grad.span();
@@ -234,26 +176,7 @@ void GradBucketer::fire(Bucket& bucket) {
     logical = std::span<float>(bucket.buf.data(), bucket.buf.size());
   }
   const size_t bytes = logical.size() * sizeof(float);
-  if (compressor_ == nullptr) {
-    bucket.request = comm_.all_reduce_sum_async(logical, unpack_scale_);
-  } else {
-    // Encode the pack-scaled fp32 bucket into the wire buffer and
-    // reduce *that*; the collective runs the codec's wire format and
-    // applies only the scale the codec lets ride the schedule.
-    const size_t wire_bytes = bucket.wire.size() * sizeof(float);
-    {
-      DMIS_TRACE_SPAN("train.grad_sync.compress",
-                      {{"bytes_in", static_cast<int64_t>(bytes)},
-                       {"bytes_out", static_cast<int64_t>(wire_bytes)}});
-      compressor_->encode(logical, std::span<float>(bucket.wire),
-                          comm_.rank(), std::span<float>(bucket.residual));
-    }
-    comm::note_compression(bytes, wire_bytes);
-    bucket.request = comm_.all_reduce_sum_async(
-        std::span<float>(bucket.wire.data(), bucket.wire.size()),
-        compressor_->wire_scale(unpack_scale_),
-        compressor_->wire_format());
-  }
+  bucket.request = comm_.all_reduce_sum_async(logical, unpack_scale_);
   bucket_bytes_histogram().observe(static_cast<double>(bytes));
   buckets_fired_counter().add(1);
   if (first_fire_us_ < 0) first_fire_us_ = obs::Tracer::now_us();
@@ -280,36 +203,6 @@ void GradBucketer::wait_all() {
       continue;
     }
     if (first_error) continue;
-    if (compress_.mode == comm::CompressMode::kFp16) {
-      // Fused unpack: decode each tensor straight out of the reduced
-      // wire (unpack_scale already rode the schedule) — the same writes
-      // the memcpy unpack would issue, half the reads.
-      const auto* halves =
-          reinterpret_cast<const uint16_t*>(bucket.wire.data());
-      DMIS_TRACE_SPAN("train.grad_sync.decompress",
-                      {{"bytes", static_cast<int64_t>(logical_len(bucket) *
-                                                      sizeof(float))}});
-      for (const size_t i : bucket.slots) {
-        const Slot& slot = slots_[i];
-        comm::fp16_unpack(halves + slot.offset,
-                          static_cast<size_t>(slot.param.grad->numel()),
-                          slot.param.grad->data());
-      }
-      continue;
-    }
-    if (compressor_ != nullptr) {
-      // Decode the reduced wire back into the bucket's fp32 storage
-      // (the gradient itself for direct buckets, buf for packed ones).
-      std::span<float> logical =
-          bucket.direct
-              ? slots_[bucket.slots.front()].param.grad->span()
-              : std::span<float>(bucket.buf.data(), bucket.buf.size());
-      DMIS_TRACE_SPAN("train.grad_sync.decompress",
-                      {{"bytes", static_cast<int64_t>(logical.size() *
-                                                      sizeof(float))}});
-      compressor_->decode(std::span<const float>(bucket.wire), logical,
-                          unpack_scale_);
-    }
     if (bucket.direct) continue;  // nothing to copy out
     // unpack_scale_ was applied by the ring itself; plain copy-out.
     for (const size_t i : bucket.slots) {
@@ -320,14 +213,7 @@ void GradBucketer::wait_all() {
     }
   }
   armed_ = false;
-  if (first_error) {
-    // The step failed and will be retried (or rolled back to the
-    // checkpoint); its error-feedback mutations — including those of
-    // buckets that reduced cleanly before the failure — must not leak
-    // into the retry. abandon() can't do this: we just disarmed.
-    if (!residual_snapshot_.empty()) import_residuals(residual_snapshot_);
-    std::rethrow_exception(first_error);
-  }
+  if (first_error) std::rethrow_exception(first_error);
 }
 
 void GradBucketer::abandon() {
@@ -342,33 +228,7 @@ void GradBucketer::abandon() {
       // or rebuilds them.
     }
   }
-  // Roll the error-feedback state back to what it was before the
-  // abandoned step fired anything: the step will be retried (or the
-  // checkpoint restored), so its residual mutations must not survive.
-  if (!residual_snapshot_.empty()) import_residuals(residual_snapshot_);
   armed_ = false;
-}
-
-GradBucketer::ResidualState GradBucketer::export_residuals() const {
-  ResidualState state;
-  state.reserve(buckets_.size());
-  for (const Bucket& bucket : buckets_) state.push_back(bucket.residual);
-  return state;
-}
-
-void GradBucketer::import_residuals(const ResidualState& state) {
-  DMIS_CHECK(state.size() == buckets_.size(),
-             "residual state has " << state.size() << " buckets, layout has "
-                                   << buckets_.size());
-  for (size_t b = 0; b < buckets_.size(); ++b) {
-    Bucket& bucket = buckets_[b];
-    if (bucket.residual.empty() || state[b].empty()) continue;
-    DMIS_CHECK(state[b].size() == bucket.residual.size(),
-               "residual size mismatch in bucket "
-                   << b << ": " << state[b].size() << " vs "
-                   << bucket.residual.size());
-    bucket.residual = state[b];
-  }
 }
 
 size_t GradBucketer::num_direct() const {

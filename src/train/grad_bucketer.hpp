@@ -47,13 +47,11 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <string>
 #include <unordered_map>
 #include <vector>
 
 #include "comm/communicator.hpp"
-#include "comm/compress.hpp"
 #include "nn/module.hpp"
 
 namespace dmis::train {
@@ -78,12 +76,9 @@ class GradBucketer {
   /// returned by Graph::params()). `comm` must outlive the bucketer.
   /// `bucket_bytes` caps each packed bucket; a parameter of at least
   /// min(kDirectBytes, bucket_bytes) gets a direct (in-place) bucket of
-  /// its own. `compress` selects the wire codec (env wins via
-  /// CompressOptions::resolved); the bucket *layout* is independent of
-  /// it, so residuals survive a rebuild over the same parameters.
+  /// its own.
   GradBucketer(std::vector<nn::Param> params, comm::Communicator& comm,
-               size_t bucket_bytes = kDefaultBucketBytes,
-               comm::CompressOptions compress = {});
+               size_t bucket_bytes = kDefaultBucketBytes);
 
   GradBucketer(const GradBucketer&) = delete;
   GradBucketer& operator=(const GradBucketer&) = delete;
@@ -119,20 +114,6 @@ class GradBucketer {
   /// elastic recovery path calls this before tearing the group down.
   void abandon();
 
-  /// Effective compression mode (after env resolution).
-  comm::CompressMode compress_mode() const { return compress_.mode; }
-
-  /// Per-bucket error-feedback residuals, in layout order (empty inner
-  /// vectors when the codec keeps no residual). The elastic recovery
-  /// path exports these before tearing a group down and imports them
-  /// into the rebuilt bucketer so no accumulated gradient mass is lost
-  /// across a shrink-to-survivors restore.
-  using ResidualState = std::vector<std::vector<float>>;
-  ResidualState export_residuals() const;
-  /// Restores residuals exported from a bucketer over the *same*
-  /// parameter list and bucket cap (layout-identical; checked).
-  void import_residuals(const ResidualState& state);
-
   size_t num_buckets() const { return buckets_.size(); }
   /// Direct (in-place, zero-copy) buckets in the layout.
   size_t num_direct() const;
@@ -153,8 +134,6 @@ class GradBucketer {
   struct Bucket {
     std::vector<size_t> slots;  // indices into slots_, pack order
     std::vector<float> buf;     // empty for direct buckets
-    std::vector<float> wire;    // compressed payload (empty: reduce raw)
-    std::vector<float> residual;  // error-feedback state (topk only)
     bool direct = false;
     size_t ready = 0;
     bool fired = false;
@@ -163,15 +142,8 @@ class GradBucketer {
 
   void fire_ready_prefix();
   void fire(Bucket& bucket);
-  /// The fp32 gradient floats bucket `b` carries (direct: the tensor).
-  size_t logical_len(const Bucket& bucket) const;
 
   comm::Communicator& comm_;
-  comm::CompressOptions compress_;
-  std::unique_ptr<comm::Compressor> compressor_;
-  /// Residuals as of begin_step(); abandon() restores them so an
-  /// aborted step's error-feedback mutations never reach the retry.
-  ResidualState residual_snapshot_;
   std::vector<Slot> slots_;       // registration order
   std::vector<Bucket> buckets_;   // layout order == launch order
   std::unordered_map<const NDArray*, size_t> slot_by_grad_;

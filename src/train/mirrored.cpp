@@ -1,9 +1,6 @@
 #include "train/mirrored.hpp"
 
 #include <algorithm>
-#include <cmath>
-#include <cstdlib>
-#include <cstring>
 #include <exception>
 #include <filesystem>
 #include <mutex>
@@ -12,6 +9,7 @@
 #include "comm/communicator.hpp"
 #include "comm/membership.hpp"
 #include "common/check.hpp"
+#include "common/env.hpp"
 #include "common/logging.hpp"
 #include "nn/checkpoint.hpp"
 #include "obs/flight_recorder.hpp"
@@ -46,20 +44,6 @@ void record_overlap(const GradBucketer& bucketer, int64_t backward_end_us) {
   }
 }
 
-bool elastic_enabled(bool configured) {
-  const char* env = std::getenv("DMIS_ELASTIC");
-  if (env == nullptr || *env == '\0') return configured;
-  return !(std::strcmp(env, "0") == 0 || std::strcmp(env, "false") == 0 ||
-           std::strcmp(env, "off") == 0);
-}
-
-bool elastic_grow_enabled(bool configured) {
-  const char* env = std::getenv("DMIS_ELASTIC_GROW");
-  if (env == nullptr || *env == '\0') return configured;
-  return !(std::strcmp(env, "0") == 0 || std::strcmp(env, "false") == 0 ||
-           std::strcmp(env, "off") == 0);
-}
-
 // The checkpoint contract joiners are validated against: ordered
 // (name, shape) of everything the grow broadcast will push.
 comm::WorldSignature world_signature(nn::UNet3d& model) {
@@ -72,19 +56,6 @@ comm::WorldSignature world_signature(nn::UNet3d& model) {
     sig.push_back(std::move(ps));
   }
   return sig;
-}
-
-// Total |residual| across a set of exported bucketer states — the
-// error-feedback mass that must survive an elastic transition.
-double residual_mass(
-    const std::vector<GradBucketer::ResidualState>& states) {
-  double mass = 0.0;
-  for (const GradBucketer::ResidualState& state : states) {
-    for (const std::vector<float>& bucket : state) {
-      for (const float v : bucket) mass += std::abs(static_cast<double>(v));
-    }
-  }
-  return mass;
 }
 
 // Everything one failed step leaves behind for the driver: which
@@ -151,14 +122,15 @@ MirroredStrategy::MirroredStrategy(const nn::UNet3dOptions& model_options,
     // Same seed in model_options -> bit-identical initial weights.
     replicas_.push_back(std::make_unique<nn::UNet3d>(model_options));
   }
-  impl_->elastic = elastic_enabled(options.elastic);
+  impl_->elastic = env_bool("DMIS_ELASTIC").value_or(options.elastic);
   if (impl_->elastic) {
     DMIS_CHECK(!options_.elastic_dir.empty(),
                "elastic mode needs MirroredOptions::elastic_dir for the "
                "step-consistent checkpoint");
     impl_->ckpt_path = options_.elastic_dir + "/elastic.ckpt";
   }
-  impl_->elastic_grow = elastic_grow_enabled(options.elastic_grow);
+  impl_->elastic_grow =
+      env_bool("DMIS_ELASTIC_GROW").value_or(options.elastic_grow);
   if (impl_->elastic_grow) {
     DMIS_CHECK(impl_->elastic,
                "elastic_grow requires elastic mode: the grow path reuses "
@@ -236,11 +208,7 @@ void MirroredStrategy::build_group() {
   impl_->optimizers.clear();
   impl_->losses.clear();
   impl_->comms.clear();
-  comm::GroupOptions group_options;
-  group_options.timeout_ms = options_.comm_timeout_ms;
-  group_options.algo = options_.comm_algo;
-  group_options.ranks_per_node = options_.comm_ranks_per_node;
-  impl_->comms = comm::make_group(r, group_options);
+  impl_->comms = comm::make_group(r, options_.comm_timeout_ms);
   const double lr = effective_lr();
   for (int i = 0; i < r; ++i) {
     impl_->losses.push_back(nn::make_loss(options_.train.loss));
@@ -250,8 +218,8 @@ void MirroredStrategy::build_group() {
   for (int i = 0; i < r; ++i) {
     nn::UNet3d& model = *replicas_[static_cast<size_t>(i)];
     impl_->bucketers.push_back(std::make_unique<GradBucketer>(
-        model.params(), impl_->comms[static_cast<size_t>(i)], bucket_bytes,
-        options_.compress));
+        model.params(), impl_->comms[static_cast<size_t>(i)],
+        bucket_bytes));
     // Fires each bucket's allreduce mid-backward; disarmed outside
     // begin_step()/wait_all(), so forward-only use stays free.
     model.graph().set_grad_ready_hook(
@@ -334,28 +302,14 @@ TrainReport MirroredStrategy::fit(data::BatchStream& train,
       if (failure.self_dead[i] != 0) dead[i] = 1;
     }
     std::vector<std::unique_ptr<nn::UNet3d>> survivors;
-    // Carry each survivor's error-feedback residuals across the
-    // rebuild: the codec's accumulated-but-unsent gradient mass must
-    // not vanish with the group (the layout is parameter-determined,
-    // so exported state fits the rebuilt bucketer exactly).
-    std::vector<GradBucketer::ResidualState> residuals;
     for (size_t i = 0; i < replicas_.size(); ++i) {
-      if (dead[i] != 0) continue;
-      survivors.push_back(std::move(replicas_[i]));
-      residuals.push_back(impl_->bucketers[i]->export_residuals());
+      if (dead[i] == 0) survivors.push_back(std::move(replicas_[i]));
     }
     if (survivors.empty()) std::rethrow_exception(failure.first);
-    reg.gauge("train.elastic.residual_mass_exported")
-        .set(residual_mass(residuals));
     replicas_ = std::move(survivors);
     ++impl_->recoveries;
     recovery_counter.add(1);
     build_group();
-    for (size_t i = 0; i < residuals.size(); ++i) {
-      impl_->bucketers[i]->import_residuals(residuals[i]);
-    }
-    reg.gauge("train.elastic.residual_mass_imported")
-        .set(residual_mass(residuals));
     world_gauge.set(static_cast<double>(world_size()));
     if (impl_->membership != nullptr) {
       impl_->membership->set_world(world_size(), obs::Tracer::now_us());
@@ -413,20 +367,11 @@ TrainReport MirroredStrategy::fit(data::BatchStream& train,
                                sp.value->data() + sp.value->numel());
     }
     const int64_t opt_steps = impl_->optimizers.front()->step_count();
-    // Survivor error-feedback residuals ride across the rebuild; the
-    // bucket layout is a pure function of the parameter list, so the
-    // exported state fits the enlarged group's bucketers exactly.
-    std::vector<GradBucketer::ResidualState> residuals;
-    for (const auto& b : impl_->bucketers) {
-      residuals.push_back(b->export_residuals());
-    }
-    reg.gauge("train.elastic.residual_mass_exported")
-        .set(residual_mass(residuals));
     for (int j = 0; j < admitted; ++j) {
       replicas_.push_back(std::make_unique<nn::UNet3d>(model_options_));
     }
     build_group();  // enlarged world: lr rescaled back up, fresh
-                    // AlgoTuner calibration and straggler baselines
+                    // straggler baselines
     {
       std::vector<nn::Param> sps =
           impl_->optimizers.front()->state_params();
@@ -473,11 +418,6 @@ TrainReport MirroredStrategy::fit(data::BatchStream& train,
     impl_->ranks->wait_idle();
     if (bcast_err) std::rethrow_exception(bcast_err);
     for (auto& opt : impl_->optimizers) opt->set_step_count(opt_steps);
-    for (size_t s = 0; s < residuals.size(); ++s) {
-      impl_->bucketers[s]->import_residuals(residuals[s]);
-    }
-    reg.gauge("train.elastic.residual_mass_imported")
-        .set(residual_mass(residuals));
     // Commit: joiners wake with their ranks, leases restart fresh, and
     // every member of the new world agrees on (world, epoch).
     const int committed = ms.commit_transition(obs::Tracer::now_us());

@@ -45,14 +45,11 @@
 // leases, validates parked joiners against the world's checkpoint
 // signature (mismatches get a typed MembershipError, never a
 // broadcast), appends fresh replicas, rebuilds the communicator over
-// the enlarged world (fresh AlgoTuner calibration and StragglerDetector
-// baselines), broadcasts rank 0's weights + optimizer slots +
-// __progress__ to everyone, rescales the learning rate back up,
-// re-imports the survivors' top-k error-feedback residuals (the bucket
-// layout is parameter-determined, so exported state fits the rebuilt
-// bucketers exactly; joiners start with zero residual), and commits
-// the membership transition — survivors and joiners leave the barrier
-// agreeing on the new world. Both shrink and grow emit a tagged
+// the enlarged world (fresh StragglerDetector baselines), broadcasts
+// rank 0's weights + optimizer slots + __progress__ to everyone,
+// rescales the learning rate back up, and commits the membership
+// transition — survivors and joiners leave the barrier agreeing on the
+// new world. Both shrink and grow emit a tagged
 // flight-recorder dump and update the train.elastic.world_size gauge.
 //
 // The step-consistent checkpoint piggybacks on nn::save_checkpoint
@@ -72,12 +69,9 @@
 #pragma once
 
 #include <memory>
-#include <optional>
 #include <string>
 #include <vector>
 
-#include "comm/algorithms.hpp"
-#include "comm/compress.hpp"
 #include "train/trainer.hpp"
 
 namespace dmis::comm {
@@ -99,15 +93,17 @@ struct MirroredOptions {
   size_t bucket_bytes = size_t{1} << 20;
   /// Survive replica failure by shrinking to the survivors and
   /// restoring from the last step-consistent checkpoint, instead of
-  /// failing the whole fit(). DMIS_ELASTIC=1/0 overrides. Requires
-  /// `elastic_dir`.
+  /// failing the whole fit(). DMIS_ELASTIC overrides (read through
+  /// env_bool: any value but 1/0, true/false, on/off makes the
+  /// constructor throw InvalidArgument). Requires `elastic_dir`.
   bool elastic = false;
   /// Directory for the elastic step-consistent checkpoint (created if
   /// missing; stale *.tmp files from crashed saves are swept on fit()
   /// entry).
   std::string elastic_dir;
   /// Re-admit returning ranks at epoch boundaries (see file comment).
-  /// Requires elastic mode; DMIS_ELASTIC_GROW=1/0 overrides.
+  /// Requires elastic mode; DMIS_ELASTIC_GROW overrides (env_bool, as
+  /// above).
   bool elastic_grow = false;
   /// Membership lease duration in ms handed to the MembershipService:
   /// < 0 resolves DMIS_COMM_LEASE_MS (unset -> 2000). A survivor whose
@@ -121,21 +117,6 @@ struct MirroredOptions {
   /// < 0 resolves DMIS_COMM_TIMEOUT_MS, 0 = no deadline. A deadline is
   /// what turns a *hung* (not crashed) rank into a typed failure.
   int64_t comm_timeout_ms = -1;
-  /// All-reduce schedule for gradient sync (comm/algorithms.hpp):
-  /// unset -> ring, the bitwise-stable default; kAuto engages the
-  /// calibrated tuner. DMIS_COMM_ALGO always wins over this field, and
-  /// an elastic rebuild carries the same choice to the shrunken group.
-  std::optional<comm::AllReduceAlgo> comm_algo;
-  /// Logical ranks per node handed to the comm group topology (for the
-  /// hierarchical algorithm and the tuner): -1 resolves
-  /// DMIS_COMM_RANKS_PER_NODE, 0 = flat single-node.
-  int comm_ranks_per_node = -1;
-  /// Gradient compression for the gradient sync
-  /// (comm/compress.hpp): fp16 wire or top-k with error feedback.
-  /// DMIS_COMPRESS / DMIS_TOPK_RATIO always win over this field; an
-  /// elastic rebuild keeps the codec and carries the error-feedback
-  /// residuals of the surviving replicas into the shrunken group.
-  comm::CompressOptions compress;
   /// Optimizer steps between step-consistent checkpoints in elastic
   /// mode (epoch boundaries always checkpoint). 1 = every step.
   int64_t checkpoint_every_steps = 1;

@@ -1,18 +1,11 @@
-// Differential parity fuzz over the pluggable all-reduce algorithms:
-// every schedule (ring, tree, hierarchical), every world size 1-8, and
-// tensor shapes the chunk geometry must survive — empty, single
-// element, lengths not divisible by the rank count, and payloads larger
-// than the default gradient bucket — all checked against a sequential
-// rank-order reference reduction. Separate cases pin the bitwise
-// properties the mirrored strategy relies on: determinism across runs
-// for a fixed rank count, mean == sum * scale with the scale folded
-// exactly once, and async == blocking.
-//
-// Note: the tests request an algorithm through GroupOptions, but
-// DMIS_COMM_ALGO (when set by a verify.sh environment sweep) wins by
-// design. Every property here is algorithm-agnostic, so the suite is
-// still meaningful under an env override — it just exercises the same
-// schedule three times.
+// Differential parity fuzz over the chunked ring all-reduce: every
+// world size 1-8, and tensor shapes the chunk geometry must survive —
+// empty, single element, lengths not divisible by the rank count, and
+// payloads larger than the default gradient bucket — all checked
+// against a sequential rank-order reference reduction. Separate cases
+// pin the bitwise properties the mirrored strategy relies on:
+// determinism across runs for a fixed rank count, mean == sum * scale
+// with the scale folded exactly once, and async == blocking.
 #include "comm/communicator.hpp"
 
 #include <gtest/gtest.h>
@@ -27,9 +20,6 @@
 
 namespace dmis::comm {
 namespace {
-
-constexpr AllReduceAlgo kAllAlgos[] = {
-    AllReduceAlgo::kRing, AllReduceAlgo::kTree, AllReduceAlgo::kHier};
 
 /// Per-rank pseudo-random inputs on a coarse 1/64 grid, so the serial
 /// reference sum is exact regardless of accumulation order.
@@ -61,13 +51,11 @@ std::vector<double> reference_sum(
 
 /// Runs one blocking all_reduce_sum (or _mean / async variant) over a
 /// fresh group and returns every rank's output buffer.
-std::vector<std::vector<float>> run_all_reduce(
-    AllReduceAlgo algo, int world, int ranks_per_node, size_t len,
-    uint64_t seed, bool mean = false, bool async = false) {
-  GroupOptions opts;
-  opts.algo = algo;
-  opts.ranks_per_node = ranks_per_node;
-  auto comms = make_group(world, opts);
+std::vector<std::vector<float>> run_all_reduce(int world, size_t len,
+                                               uint64_t seed,
+                                               bool mean = false,
+                                               bool async = false) {
+  auto comms = make_group(world);
   auto bufs = make_inputs(world, len, seed);
   std::vector<std::thread> threads;
   threads.reserve(static_cast<size_t>(world));
@@ -107,117 +95,87 @@ bool bitwise_equal(const std::vector<float>& a, const std::vector<float>& b) {
           std::memcmp(a.data(), b.data(), a.size() * sizeof(float)) == 0);
 }
 
-std::string case_name(AllReduceAlgo algo, int world, int rpn, size_t len) {
-  return std::string(all_reduce_algo_name(algo)) + " world=" +
-         std::to_string(world) + " rpn=" + std::to_string(rpn) +
-         " len=" + std::to_string(len);
+std::string case_name(int world, size_t len) {
+  return "world=" + std::to_string(world) + " len=" + std::to_string(len);
 }
 
-// Every algorithm, every world size 1-8, edge-shaped buffers: empty,
-// single element, fewer elements than ranks, and a length coprime with
-// every world size. ranks_per_node=3 makes the node groups ragged for
-// most worlds (the hierarchical algorithm's hard case).
+// Every world size 1-8, edge-shaped buffers: empty, single element,
+// fewer elements than ranks, and a length coprime with every world
+// size.
 TEST(AllReduceAlgoParity, MatchesSerialReferenceAcrossWorldsAndShapes) {
-  for (const AllReduceAlgo algo : kAllAlgos) {
-    for (int world = 1; world <= 8; ++world) {
-      for (const size_t len : {size_t{0}, size_t{1}, size_t{7}, size_t{131}}) {
-        const auto inputs = make_inputs(world, len, /*seed=*/91);
-        const auto expected = reference_sum(inputs);
-        const auto outs = run_all_reduce(algo, world, /*ranks_per_node=*/3,
-                                         len, /*seed=*/91);
-        expect_matches_reference(outs, expected,
-                                 case_name(algo, world, 3, len));
-      }
+  for (int world = 1; world <= 8; ++world) {
+    for (const size_t len : {size_t{0}, size_t{1}, size_t{7}, size_t{131}}) {
+      const auto inputs = make_inputs(world, len, /*seed=*/91);
+      const auto expected = reference_sum(inputs);
+      const auto outs = run_all_reduce(world, len, /*seed=*/91);
+      expect_matches_reference(outs, expected, case_name(world, len));
     }
   }
 }
 
 // Payloads past the 1 MiB gradient-bucket size (262,144 floats), with a
-// length chosen to not divide by any world size used. world=6 with
-// ranks_per_node=4 gives ragged node groups of 4 + 2.
+// length chosen to not divide by any world size used.
 TEST(AllReduceAlgoParity, LargeBuffersBeyondBucketSize) {
   constexpr size_t kLen = 300001;  // > 1 MiB of floats, prime
-  for (const AllReduceAlgo algo : kAllAlgos) {
-    for (const int world : {4, 6}) {
-      const auto inputs = make_inputs(world, kLen, /*seed=*/7);
-      const auto expected = reference_sum(inputs);
-      const auto outs =
-          run_all_reduce(algo, world, /*ranks_per_node=*/4, kLen, /*seed=*/7);
-      expect_matches_reference(outs, expected,
-                               case_name(algo, world, 4, kLen));
-    }
+  for (const int world : {4, 6}) {
+    const auto inputs = make_inputs(world, kLen, /*seed=*/7);
+    const auto expected = reference_sum(inputs);
+    const auto outs = run_all_reduce(world, kLen, /*seed=*/7);
+    expect_matches_reference(outs, expected, case_name(world, kLen));
   }
 }
 
-// For a fixed rank count every algorithm must be bitwise deterministic:
-// two runs over identical inputs produce identical float bits on every
+// For a fixed rank count the ring must be bitwise deterministic: two
+// runs over identical inputs produce identical float bits on every
 // rank (the mirrored strategy's replica-consistency invariant).
 TEST(AllReduceAlgoParity, BitwiseDeterministicAcrossRuns) {
-  for (const AllReduceAlgo algo : kAllAlgos) {
-    const auto a = run_all_reduce(algo, /*world=*/6, /*ranks_per_node=*/2,
-                                  /*len=*/4097, /*seed=*/42);
-    const auto b = run_all_reduce(algo, /*world=*/6, /*ranks_per_node=*/2,
-                                  /*len=*/4097, /*seed=*/42);
-    for (size_t r = 0; r < a.size(); ++r) {
-      EXPECT_TRUE(bitwise_equal(a[r], b[r]))
-          << case_name(algo, 6, 2, 4097) << " rank " << r;
-    }
-    // All ranks end with the same bits — mirrored replicas stay mirrored.
-    for (size_t r = 1; r < a.size(); ++r) {
-      EXPECT_TRUE(bitwise_equal(a[0], a[r]))
-          << case_name(algo, 6, 2, 4097) << " rank " << r << " vs rank 0";
-    }
+  const auto a = run_all_reduce(/*world=*/6, /*len=*/4097, /*seed=*/42);
+  const auto b = run_all_reduce(/*world=*/6, /*len=*/4097, /*seed=*/42);
+  for (size_t r = 0; r < a.size(); ++r) {
+    EXPECT_TRUE(bitwise_equal(a[r], b[r])) << "rank " << r;
+  }
+  // All ranks end with the same bits — mirrored replicas stay mirrored.
+  for (size_t r = 1; r < a.size(); ++r) {
+    EXPECT_TRUE(bitwise_equal(a[0], a[r])) << "rank " << r << " vs rank 0";
   }
 }
 
 // all_reduce_mean must equal all_reduce_sum followed by one scalar
-// multiply, bit for bit: every schedule folds the scale into the final
+// multiply, bit for bit: the ring folds the scale into the final
 // accumulation of each element exactly once.
 TEST(AllReduceAlgoParity, MeanIsSumScaledExactlyOnce) {
   constexpr int kWorld = 5;
   const float inv = 1.0F / static_cast<float>(kWorld);
-  for (const AllReduceAlgo algo : kAllAlgos) {
-    const auto sum = run_all_reduce(algo, kWorld, /*ranks_per_node=*/2,
-                                    /*len=*/513, /*seed=*/3, /*mean=*/false);
-    const auto mean = run_all_reduce(algo, kWorld, /*ranks_per_node=*/2,
-                                     /*len=*/513, /*seed=*/3, /*mean=*/true);
-    for (size_t r = 0; r < sum.size(); ++r) {
-      std::vector<float> scaled = sum[r];
-      for (float& v : scaled) v *= inv;
-      EXPECT_TRUE(bitwise_equal(scaled, mean[r]))
-          << case_name(algo, kWorld, 2, 513) << " rank " << r;
-    }
+  const auto sum =
+      run_all_reduce(kWorld, /*len=*/513, /*seed=*/3, /*mean=*/false);
+  const auto mean =
+      run_all_reduce(kWorld, /*len=*/513, /*seed=*/3, /*mean=*/true);
+  for (size_t r = 0; r < sum.size(); ++r) {
+    std::vector<float> scaled = sum[r];
+    for (float& v : scaled) v *= inv;
+    EXPECT_TRUE(bitwise_equal(scaled, mean[r])) << "rank " << r;
   }
 }
 
-// The async worker path runs the same strategy through the same
+// The async worker path runs the same ring through the same
 // rendezvous, so it must produce the same bits as the blocking path.
 TEST(AllReduceAlgoParity, AsyncPathMatchesBlockingBitwise) {
-  for (const AllReduceAlgo algo : kAllAlgos) {
-    const auto blocking =
-        run_all_reduce(algo, /*world=*/4, /*ranks_per_node=*/2,
-                       /*len=*/2048, /*seed=*/11, /*mean=*/false);
-    const auto async =
-        run_all_reduce(algo, /*world=*/4, /*ranks_per_node=*/2,
-                       /*len=*/2048, /*seed=*/11, /*mean=*/false,
-                       /*async=*/true);
-    for (size_t r = 0; r < blocking.size(); ++r) {
-      EXPECT_TRUE(bitwise_equal(blocking[r], async[r]))
-          << case_name(algo, 4, 2, 2048) << " rank " << r;
-    }
+  const auto blocking = run_all_reduce(/*world=*/4, /*len=*/2048,
+                                       /*seed=*/11, /*mean=*/false);
+  const auto async = run_all_reduce(/*world=*/4, /*len=*/2048, /*seed=*/11,
+                                    /*mean=*/false, /*async=*/true);
+  for (size_t r = 0; r < blocking.size(); ++r) {
+    EXPECT_TRUE(bitwise_equal(blocking[r], async[r])) << "rank " << r;
   }
 }
 
-// Randomized sweep: (world, algorithm, topology, length) drawn from a
-// fixed-seed generator, always compared to the serial reference. The
-// first iteration pins the bucket-boundary straddle explicitly.
+// Randomized sweep: (world, length) drawn from a fixed-seed generator,
+// always compared to the serial reference. The first iteration pins
+// the bucket-boundary straddle explicitly.
 TEST(AllReduceAlgoParity, RandomizedFuzzAgainstReference) {
   std::mt19937 rng(1234);
-  const int rpns[] = {0, 1, 2, 3, 5};
   for (int iter = 0; iter < 32; ++iter) {
     const int world = 1 + static_cast<int>(rng() % 8);
-    const AllReduceAlgo algo = kAllAlgos[rng() % 3];
-    const int rpn = rpns[rng() % 5];
     size_t len;
     if (iter == 0) {
       len = 262147;  // one past the 1 MiB bucket, and prime
@@ -229,11 +187,10 @@ TEST(AllReduceAlgoParity, RandomizedFuzzAgainstReference) {
     const uint64_t seed = 1000 + static_cast<uint64_t>(iter);
     const auto inputs = make_inputs(world, len, seed);
     const auto expected = reference_sum(inputs);
-    const auto outs = run_all_reduce(algo, world, rpn, len, seed);
+    const auto outs = run_all_reduce(world, len, seed);
     expect_matches_reference(
         outs, expected,
-        "iter=" + std::to_string(iter) + " " +
-            case_name(algo, world, rpn, len));
+        "iter=" + std::to_string(iter) + " " + case_name(world, len));
   }
 }
 

@@ -270,31 +270,16 @@ TEST_F(CommFailureTest, AsyncCollectivesSurfaceTypedFailures) {
   EXPECT_THROW(req.wait(), CommError);
 }
 
-// The failure machinery is supposed to be algorithm-agnostic: every
-// schedule runs over the same deadline-aware rendezvous, so rank loss,
-// timeouts and the poison pill must behave identically under the tree
-// and hierarchical algorithms. Parameterized mirror of the key cases
-// above, on a 4-rank two-node (ranks_per_node=2) group so the
-// hierarchical schedule really runs its intra/leader/broadcast phases.
-class CommFailureAlgoTest : public ::testing::TestWithParam<AllReduceAlgo> {
- protected:
-  void SetUp() override { common::FaultInjector::instance().reset(); }
-  void TearDown() override { common::FaultInjector::instance().reset(); }
+// The same contracts on a 4-rank ring, where a failure can land
+// mid-schedule with more than one rank still ahead of the fault in its
+// reduce-scatter and all-gather steps.
+using CommFailureRingTest = CommFailureTest;
 
-  std::vector<Communicator> group(int size, int64_t timeout_ms) {
-    GroupOptions opts;
-    opts.timeout_ms = timeout_ms;
-    opts.algo = GetParam();
-    opts.ranks_per_node = 2;
-    return make_group(size, opts);
-  }
-};
-
-// Ranks 0-2 enter the collective; rank 3 never shows up. Whatever the
-// schedule, every present rank must surface a typed error (the first
-// deadline to fire poisons the group for the rest) — no deadlock.
-TEST_P(CommFailureAlgoTest, DeadlineTurnsMissingPeerIntoTypedError) {
-  auto comms = group(4, /*timeout_ms=*/200);
+// Ranks 0-2 enter the collective; rank 3 never shows up. Every present
+// rank must surface a typed error (the first deadline to fire poisons
+// the group for the rest) — no deadlock.
+TEST_F(CommFailureRingTest, DeadlineTurnsMissingPeerIntoTypedError) {
+  auto comms = make_group(4, /*timeout_ms=*/200);
   std::atomic<int> errors{0};
   std::vector<std::thread> threads;
   for (int r = 0; r < 3; ++r) {
@@ -316,10 +301,9 @@ TEST_P(CommFailureAlgoTest, DeadlineTurnsMissingPeerIntoTypedError) {
   EXPECT_NE(comms[0].health(3), RankHealth::kHealthy);
 }
 
-// abort() must wake ranks blocked mid-schedule — including inside the
-// tree's halving exchanges and the hierarchical leader phase.
-TEST_P(CommFailureAlgoTest, AbortWakesRanksBlockedInSchedule) {
-  auto comms = group(4, /*timeout_ms=*/0);  // no deadline: poison only
+// abort() must wake ranks blocked mid-schedule.
+TEST_F(CommFailureRingTest, AbortWakesRanksBlockedInSchedule) {
+  auto comms = make_group(4, /*timeout_ms=*/0);  // no deadline: poison only
   std::atomic<int> errors{0};
   std::vector<std::thread> threads;
   for (int r = 0; r < 3; ++r) {
@@ -342,13 +326,13 @@ TEST_P(CommFailureAlgoTest, AbortWakesRanksBlockedInSchedule) {
 }
 
 // A hung (not crashed) rank: survivors' deadlines fire; the hung rank
-// wakes into the poisoned group. Identical contract for every schedule.
-TEST_P(CommFailureAlgoTest, HungRankDetectedByDeadline) {
+// wakes into the poisoned group.
+TEST_F(CommFailureRingTest, HungRankDetectedByDeadline) {
   auto& faults = common::FaultInjector::instance();
   faults.arm_nth_call("comm.all_reduce.r1", 1);
   faults.set_action_hang("comm.all_reduce.r1", /*auto_release_ms=*/700);
 
-  auto comms = group(4, /*timeout_ms=*/200);
+  auto comms = make_group(4, /*timeout_ms=*/200);
   std::atomic<int> survivor_errors{0};
   std::atomic<bool> hung_rank_failed{false};
   std::vector<std::thread> threads;
@@ -373,13 +357,13 @@ TEST_P(CommFailureAlgoTest, HungRankDetectedByDeadline) {
   EXPECT_NE(comms[0].health(1), RankHealth::kHealthy);
 }
 
-// Async submissions surface the same typed failures from wait() under
-// every algorithm, and the poisoned group keeps failing fast.
-TEST_P(CommFailureAlgoTest, AsyncCollectivesSurfaceTypedFailures) {
+// Async submissions surface the same typed failures from wait(), and
+// the poisoned group keeps failing fast.
+TEST_F(CommFailureRingTest, AsyncCollectivesSurfaceTypedFailures) {
   auto& faults = common::FaultInjector::instance();
   faults.arm_nth_call("comm.all_reduce.r2", 1);
 
-  auto comms = group(4, /*timeout_ms=*/300);
+  auto comms = make_group(4, /*timeout_ms=*/300);
   std::atomic<int> injected{0};
   std::atomic<int> comm_errors{0};
   std::vector<std::thread> threads;
@@ -406,34 +390,6 @@ TEST_P(CommFailureAlgoTest, AsyncCollectivesSurfaceTypedFailures) {
   AsyncRequest req = comms[0].all_reduce_sum_async(buf);
   EXPECT_THROW(req.wait(), CommError);
 }
-
-// Survivors still seal an identical dead-set after an abort that
-// happened under a non-ring schedule.
-TEST_P(CommFailureAlgoTest, AgreementSealsIdenticalDeadSet) {
-  auto comms = group(4, /*timeout_ms=*/0);
-  comms[3].abort("rank 3 going down");
-  std::vector<std::vector<int>> sealed(3);
-  std::vector<std::thread> threads;
-  for (int r = 0; r < 3; ++r) {
-    threads.emplace_back([&, r] {
-      sealed[static_cast<size_t>(r)] =
-          comms[static_cast<size_t>(r)].agree_on_failures(/*grace_ms=*/500);
-    });
-  }
-  for (auto& t : threads) t.join();
-  for (int r = 0; r < 3; ++r) {
-    EXPECT_EQ(sealed[static_cast<size_t>(r)], std::vector<int>{3})
-        << "rank " << r;
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(
-    Algos, CommFailureAlgoTest,
-    ::testing::Values(AllReduceAlgo::kRing, AllReduceAlgo::kTree,
-                      AllReduceAlgo::kHier),
-    [](const ::testing::TestParamInfo<AllReduceAlgo>& info) {
-      return std::string(all_reduce_algo_name(info.param));
-    });
 
 TEST_F(CommFailureTest, RejectsMalformedTimeoutEnv) {
   ::setenv("DMIS_COMM_TIMEOUT_MS", "soon", 1);

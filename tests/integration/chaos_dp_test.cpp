@@ -199,101 +199,5 @@ TEST_F(ChaosDataParallelTest, HangWithElasticOffAbortsWithCommError) {
   EXPECT_LT(elapsed.count(), 60) << "deadline abort took too long";
 }
 
-// The elastic machinery must be algorithm-agnostic: the same rank-loss
-// chaos, run under the tree and hierarchical all-reduce schedules (via
-// MirroredOptions::comm_algo, with ranks_per_node=2 so hier really
-// splits into node groups). After the shrink to 3 ranks the node groups
-// go ragged ({0,1} + {2}) — the hierarchical schedule's hard case —
-// and the result must still match the fault-free 3-rank run under the
-// same algorithm.
-class ChaosDataParallelAlgoTest
-    : public ::testing::TestWithParam<comm::AllReduceAlgo> {
- protected:
-  void SetUp() override {
-    common::FaultInjector::instance().reset();
-    dir_ = (std::filesystem::temp_directory_path() /
-            ("dmis_chaos_dp_algo_" + std::to_string(::getpid()) + "_" +
-             ::testing::UnitTest::GetInstance()->current_test_info()->name()))
-               .string();
-  }
-  void TearDown() override {
-    common::FaultInjector::instance().reset();
-    std::filesystem::remove_all(dir_);
-  }
-
-  MirroredOptions algo_options() {
-    MirroredOptions mopt = four_rank_options();
-    mopt.comm_algo = GetParam();
-    mopt.comm_ranks_per_node = 2;
-    return mopt;
-  }
-
-  /// Fault-free 3-rank reference under the SAME algorithm and topology.
-  std::vector<float> reference_3rank(double* final_loss) {
-    MirroredOptions mopt = algo_options();
-    mopt.num_replicas = 3;
-    MirroredStrategy reference(tiny_model(), mopt);
-    data::BatchStream train = make_stream();
-    const TrainReport report = reference.fit(train, nullptr);
-    if (final_loss != nullptr) {
-      *final_loss = report.history.back().train_loss;
-    }
-    return flat_params(reference.model());
-  }
-
-  std::string dir_;
-};
-
-// Rank 3 crashes on its first collective; elastic on. The shrunken run
-// must land exactly on the fault-free 3-rank run for every schedule.
-TEST_P(ChaosDataParallelAlgoTest, CrashWithElasticOnMatchesFaultFreeRun) {
-  common::FaultInjector::instance().arm_nth_call("comm.all_reduce.r3", 1);
-  MirroredOptions mopt = algo_options();
-  mopt.elastic = true;
-  mopt.elastic_dir = dir_;
-  MirroredStrategy mirrored(tiny_model(), mopt);
-  data::BatchStream train = make_stream();
-  const TrainReport report = mirrored.fit(train, nullptr);
-
-  EXPECT_EQ(mirrored.recoveries(), 1);
-  EXPECT_EQ(mirrored.world_size(), 3);
-  ASSERT_EQ(report.history.size(), 2U);
-
-  common::FaultInjector::instance().reset();
-  double ref_loss = 0.0;
-  const std::vector<float> ref = reference_3rank(&ref_loss);
-  const std::vector<float> got = flat_params(mirrored.model());
-  ASSERT_EQ(got.size(), ref.size());
-  for (size_t i = 0; i < got.size(); ++i) {
-    ASSERT_NEAR(got[i], ref[i], 1e-6F) << "param element " << i;
-  }
-  EXPECT_NEAR(report.history.back().train_loss, ref_loss, 1e-6);
-}
-
-// Rank 3 hangs; elastic off. The per-collective deadline must abort the
-// fit with a typed CommError in bounded time under every schedule.
-TEST_P(ChaosDataParallelAlgoTest, HangWithElasticOffAbortsWithCommError) {
-  auto& faults = common::FaultInjector::instance();
-  faults.arm_nth_call("comm.all_reduce.r3", 1);
-  faults.set_action_hang("comm.all_reduce.r3", /*auto_release_ms=*/2000);
-
-  MirroredOptions mopt = algo_options();
-  mopt.comm_timeout_ms = 500;
-  MirroredStrategy mirrored(tiny_model(), mopt);
-  data::BatchStream train = make_stream();
-  const auto t0 = std::chrono::steady_clock::now();
-  EXPECT_THROW(mirrored.fit(train, nullptr), comm::CommError);
-  const auto elapsed = std::chrono::duration_cast<std::chrono::seconds>(
-      std::chrono::steady_clock::now() - t0);
-  EXPECT_LT(elapsed.count(), 60) << "deadline abort took too long";
-}
-
-INSTANTIATE_TEST_SUITE_P(
-    Algos, ChaosDataParallelAlgoTest,
-    ::testing::Values(comm::AllReduceAlgo::kTree, comm::AllReduceAlgo::kHier),
-    [](const ::testing::TestParamInfo<comm::AllReduceAlgo>& info) {
-      return std::string(comm::all_reduce_algo_name(info.param));
-    });
-
 }  // namespace
 }  // namespace dmis::train

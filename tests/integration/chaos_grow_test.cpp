@@ -2,21 +2,16 @@
 // 4-replica mirrored run loses a rank mid-epoch, continues shrunk to 3,
 // re-admits the returning rank at the next epoch boundary through the
 // lease-based membership protocol, and finishes at world 4 with weights
-// matching a fault-free 4-rank run to 1e-6 — under every all-reduce
-// schedule and wire codec. Also covered: the kill-rejoin-kill double
-// fault, the shape-mismatched joiner (typed rejection, no deadlock,
-// no broadcast), top-k error-feedback residual conservation across the
-// grow, and the tagged flight-recorder dumps on both transitions.
+// matching a fault-free 4-rank run to 1e-6. Also covered: the
+// kill-rejoin-kill double fault, the shape-mismatched joiner (typed
+// rejection, no deadlock, no broadcast), and the tagged
+// flight-recorder dumps on both transitions.
 //
 // Equivalence math: gradients are combined as a sample-count-weighted
 // average, so the averaged gradient is world-size-invariant for the
 // same global batch. With scale_lr=false (the lr would otherwise
-// differ 3x vs 4x during the shrunk segment) and a lossless wire
-// (codec none, or top-k at ratio 1.0), the shrunken segment is
-// arithmetically identical to the 4-rank run and the gate is 1e-6;
-// fp16's wire quantization rounds different partial sums at world 3
-// than at world 4, so those legs carry ~1e-6 of codec noise and get a
-// correspondingly looser 1e-5 gate.
+// differ 3x vs 4x during the shrunk segment), the shrunken segment is
+// arithmetically identical to the 4-rank run and the gate is 1e-6.
 #include <gtest/gtest.h>
 
 #include <unistd.h>
@@ -254,31 +249,6 @@ TEST_F(ChaosGrowTest, ShapeMismatchedJoinerRejectedTypedWithoutDeadlock) {
   }
 }
 
-// Top-k error feedback at a lossy ratio: the survivors' residual mass
-// must ride across the rebuild intact — exported == imported and
-// nonzero (at ratio 0.25, ~75% of gradient mass lives in residuals).
-TEST_F(ChaosGrowTest, TopkResidualMassConservedAcrossGrow) {
-  MirroredOptions mopt = grow_options(dir_);
-  mopt.compress.mode = comm::CompressMode::kTopK;
-  mopt.compress.topk_ratio = 0.25;
-  MirroredStrategy mirrored(tiny_model(), mopt);
-  arm_kill_with_rejoin(mirrored);
-  data::BatchStream train = make_stream();
-  const TrainReport report = mirrored.fit(train, nullptr);
-
-  EXPECT_EQ(mirrored.recoveries(), 1);
-  EXPECT_EQ(mirrored.grows(), 1);
-  EXPECT_EQ(mirrored.world_size(), 4);
-  ASSERT_EQ(report.history.size(), 2U);
-  auto& reg = obs::MetricsRegistry::instance();
-  const double exported =
-      reg.gauge("train.elastic.residual_mass_exported").value();
-  const double imported =
-      reg.gauge("train.elastic.residual_mass_imported").value();
-  EXPECT_GT(exported, 0.0);
-  EXPECT_DOUBLE_EQ(imported, exported);
-}
-
 // Both transitions leave a tagged flight-recorder dump: one for the
 // shrink (4->3), one for the grow (3->4).
 TEST_F(ChaosGrowTest, ShrinkAndGrowEachLeaveTaggedFlightDump) {
@@ -310,96 +280,6 @@ TEST_F(ChaosGrowTest, ShrinkAndGrowEachLeaveTaggedFlightDump) {
   EXPECT_TRUE(saw_shrink);
   EXPECT_TRUE(saw_grow);
 }
-
-// The grow machinery must be schedule- and codec-agnostic: the same
-// kill+rejoin chaos under ring/tree/hierarchical all-reduce crossed
-// with none/fp16/topk wire codecs (top-k at ratio 1.0 — lossless — so
-// the 1e-6 equivalence gate applies; hier runs with ranks_per_node=2,
-// whose node groups go ragged at world 3, the hard case).
-struct GrowMatrixParam {
-  comm::AllReduceAlgo algo;
-  comm::CompressMode codec;
-};
-
-class ChaosGrowMatrixTest
-    : public ::testing::TestWithParam<GrowMatrixParam> {
- protected:
-  void SetUp() override {
-    common::FaultInjector::instance().reset();
-    dir_ = (std::filesystem::temp_directory_path() /
-            ("dmis_chaos_growm_" + std::to_string(::getpid()) + "_" +
-             ::testing::UnitTest::GetInstance()->current_test_info()->name()))
-               .string();
-  }
-  void TearDown() override {
-    common::FaultInjector::instance().reset();
-    std::filesystem::remove_all(dir_);
-  }
-
-  MirroredOptions matrix_options() {
-    MirroredOptions mopt = grow_options(dir_);
-    mopt.comm_algo = GetParam().algo;
-    mopt.comm_ranks_per_node = 2;
-    mopt.compress.mode = GetParam().codec;
-    mopt.compress.topk_ratio = 1.0;  // lossless: equivalence gate holds
-    return mopt;
-  }
-
-  std::string dir_;
-};
-
-TEST_P(ChaosGrowMatrixTest, KillRejoinMatchesFaultFreeRun) {
-  // Lossless wires reproduce the reference exactly (1e-6); the fp16
-  // wire rounds world-3 partial sums differently than world-4 ones, so
-  // its legs carry inherent codec noise (see file comment).
-  const float tol =
-      GetParam().codec == comm::CompressMode::kFp16 ? 1e-5F : 1e-6F;
-  MirroredOptions mopt = matrix_options();
-  MirroredStrategy mirrored(tiny_model(), mopt);
-  arm_kill_with_rejoin(mirrored);
-  data::BatchStream train = make_stream();
-  const TrainReport report = mirrored.fit(train, nullptr);
-
-  EXPECT_EQ(mirrored.recoveries(), 1);
-  EXPECT_EQ(mirrored.grows(), 1);
-  EXPECT_EQ(mirrored.world_size(), 4);
-  ASSERT_EQ(report.history.size(), 2U);
-
-  common::FaultInjector::instance().reset();
-  MirroredOptions ref_opts = mopt;
-  ref_opts.elastic_dir = dir_ + "_ref";
-  MirroredStrategy reference(tiny_model(), ref_opts);
-  data::BatchStream ref_train = make_stream();
-  const TrainReport ref_report = reference.fit(ref_train, nullptr);
-  std::filesystem::remove_all(dir_ + "_ref");
-
-  const std::vector<float> ref = flat_params(reference.model());
-  const std::vector<float> got = flat_params(mirrored.model());
-  ASSERT_EQ(got.size(), ref.size());
-  for (size_t i = 0; i < got.size(); ++i) {
-    ASSERT_NEAR(got[i], ref[i], tol) << "param element " << i;
-  }
-  EXPECT_NEAR(report.history.back().train_loss,
-              ref_report.history.back().train_loss, tol);
-}
-
-INSTANTIATE_TEST_SUITE_P(
-    AlgosAndCodecs, ChaosGrowMatrixTest,
-    ::testing::Values(
-        GrowMatrixParam{comm::AllReduceAlgo::kRing, comm::CompressMode::kNone},
-        GrowMatrixParam{comm::AllReduceAlgo::kRing, comm::CompressMode::kFp16},
-        GrowMatrixParam{comm::AllReduceAlgo::kRing, comm::CompressMode::kTopK},
-        GrowMatrixParam{comm::AllReduceAlgo::kTree, comm::CompressMode::kNone},
-        GrowMatrixParam{comm::AllReduceAlgo::kTree, comm::CompressMode::kFp16},
-        GrowMatrixParam{comm::AllReduceAlgo::kTree, comm::CompressMode::kTopK},
-        GrowMatrixParam{comm::AllReduceAlgo::kHier, comm::CompressMode::kNone},
-        GrowMatrixParam{comm::AllReduceAlgo::kHier, comm::CompressMode::kFp16},
-        GrowMatrixParam{comm::AllReduceAlgo::kHier,
-                        comm::CompressMode::kTopK}),
-    [](const ::testing::TestParamInfo<GrowMatrixParam>& info) {
-      return std::string(comm::all_reduce_algo_name(info.param.algo)) + "_" +
-             comm::compress_mode_name(info.param.codec);
-    });
 
 }  // namespace
 }  // namespace dmis::train

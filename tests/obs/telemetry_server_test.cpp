@@ -317,5 +317,38 @@ TEST_F(TelemetryServerTest, ConcurrentScrapeWhileUpdating) {
   for (auto& w : writers) w.join();
 }
 
+
+// DMIS_OBS_PORT and DMIS_OBS_LINGER_MS are read once, by the static-init
+// bootstrap, so each case re-executes this binary with the knobs set
+// (the threadsafe death-test style) and has the child report whether it
+// came up serving. A malformed value must leave the server off — not
+// be read as a prefix ("abc" and "0abc" were port 0, an ephemeral
+// listener; "4s" lingered 4 ms).
+void expect_bootstrap(const char* port, const char* linger, bool serves) {
+  ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+  ::setenv("DMIS_OBS_PORT", port, 1);
+  if (linger != nullptr) {
+    ::setenv("DMIS_OBS_LINGER_MS", linger, 1);
+  } else {
+    ::unsetenv("DMIS_OBS_LINGER_MS");
+  }
+  EXPECT_EXIT(std::_Exit(TelemetryServer::from_env() != nullptr ? 0 : 1),
+              ::testing::ExitedWithCode(serves ? 0 : 1), "")
+      << "DMIS_OBS_PORT=" << port
+      << " DMIS_OBS_LINGER_MS=" << (linger != nullptr ? linger : "(unset)");
+  ::unsetenv("DMIS_OBS_PORT");
+  ::unsetenv("DMIS_OBS_LINGER_MS");
+}
+
+TEST(TelemetryServerEnvTest, MalformedKnobsLeaveTheServerOff) {
+  expect_bootstrap("0", nullptr, /*serves=*/true);  // the control
+  expect_bootstrap("0", "250", /*serves=*/true);
+  expect_bootstrap("abc", nullptr, /*serves=*/false);
+  expect_bootstrap("0abc", nullptr, /*serves=*/false);
+  expect_bootstrap("65536", nullptr, /*serves=*/false);
+  expect_bootstrap("0", "4s", /*serves=*/false);
+  expect_bootstrap("0", "-1", /*serves=*/false);
+}
+
 }  // namespace
 }  // namespace dmis::obs

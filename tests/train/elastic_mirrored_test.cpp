@@ -205,56 +205,6 @@ TEST_F(ElasticMirroredTest, SurvivorsRunOnWorldMinusOneRankThreads) {
   EXPECT_EQ(tids.size(), 2U);
 }
 
-// Elastic recovery composes with gradient compression: a mid-training
-// rank loss under top-k (the mode with cross-step residual state)
-// shrinks to survivors and finishes with finite losses. The residual
-// export/import mechanics are unit-tested in grad_bucketer_test; this
-// exercises the full recover() path that carries them across the
-// group rebuild.
-TEST_F(ElasticMirroredTest, RecoversWithTopKCompressionState) {
-  common::FaultInjector::instance().arm_nth_call("comm.all_reduce.r2", 3);
-  MirroredOptions mopt;
-  mopt.num_replicas = 3;
-  mopt.train.epochs = 2;
-  mopt.train.lr = 1e-3;
-  mopt.elastic = true;
-  mopt.elastic_dir = dir_;
-  mopt.compress.mode = comm::CompressMode::kTopK;
-  mopt.compress.topk_ratio = 0.25;
-  MirroredStrategy mirrored(tiny_model(), mopt);
-  data::BatchStream train(data::from_examples(make_examples(6, 4)), 3);
-  const TrainReport report = mirrored.fit(train, nullptr);
-  EXPECT_EQ(mirrored.recoveries(), 1);
-  EXPECT_EQ(mirrored.world_size(), 2);
-  ASSERT_EQ(report.history.size(), 2U);
-  for (const EpochStats& s : report.history) {
-    EXPECT_TRUE(std::isfinite(s.train_loss));
-    EXPECT_EQ(s.steps, 2);
-  }
-}
-
-// And with the dense fp16 wire (no residual state, but the rebuilt
-// group must keep the codec): same kill, same survival contract.
-TEST_F(ElasticMirroredTest, RecoversWithFp16Wire) {
-  common::FaultInjector::instance().arm_nth_call("comm.all_reduce.r2", 3);
-  MirroredOptions mopt;
-  mopt.num_replicas = 3;
-  mopt.train.epochs = 2;
-  mopt.train.lr = 1e-3;
-  mopt.elastic = true;
-  mopt.elastic_dir = dir_;
-  mopt.compress.mode = comm::CompressMode::kFp16;
-  MirroredStrategy mirrored(tiny_model(), mopt);
-  data::BatchStream train(data::from_examples(make_examples(6, 4)), 3);
-  const TrainReport report = mirrored.fit(train, nullptr);
-  EXPECT_EQ(mirrored.recoveries(), 1);
-  EXPECT_EQ(mirrored.world_size(), 2);
-  ASSERT_EQ(report.history.size(), 2U);
-  for (const EpochStats& s : report.history) {
-    EXPECT_TRUE(std::isfinite(s.train_loss));
-  }
-}
-
 // When every replica dies in the same step there is nobody to shrink
 // to: elastic mode rethrows like fail-fast instead of looping.
 TEST_F(ElasticMirroredTest, NoSurvivorsRethrows) {
@@ -291,6 +241,38 @@ TEST_F(ElasticMirroredTest, EnvOverrideControlsElasticMode) {
   bad.num_replicas = 2;
   bad.elastic = true;
   EXPECT_THROW(MirroredStrategy(tiny_model(), bad), InvalidArgument);
+}
+
+// "no", "disabled" or a typo must not switch elastic mode on: both
+// knobs accept only 1/0, true/false, on/off and name themselves when
+// they reject a value.
+TEST_F(ElasticMirroredTest, MalformedElasticKnobsAreRejected) {
+  MirroredOptions mopt;
+  mopt.num_replicas = 2;
+  mopt.elastic_dir = dir_;
+  const auto expect_rejected = [&](const char* knob, const char* value) {
+    ::setenv(knob, value, 1);
+    try {
+      MirroredStrategy strategy(tiny_model(), mopt);
+      ADD_FAILURE() << knob << "=" << value << " was accepted";
+    } catch (const InvalidArgument& e) {
+      EXPECT_NE(std::string_view(e.what()).find(knob),
+                std::string_view::npos)
+          << e.what();
+    }
+    ::unsetenv(knob);
+  };
+  expect_rejected("DMIS_ELASTIC", "no");
+  expect_rejected("DMIS_ELASTIC", "disabled");
+  mopt.elastic = true;
+  expect_rejected("DMIS_ELASTIC_GROW", "no");
+  expect_rejected("DMIS_ELASTIC_GROW", "ture");
+
+  ::setenv("DMIS_ELASTIC_GROW", "off", 1);
+  MirroredStrategy off(tiny_model(), mopt);
+  EXPECT_TRUE(off.elastic());
+  EXPECT_FALSE(off.elastic_grow());
+  ::unsetenv("DMIS_ELASTIC_GROW");
 }
 
 }  // namespace

@@ -301,228 +301,5 @@ TEST(GradBucketerTest, RejectsZeroBucketBytes) {
   EXPECT_THROW(MirroredStrategy(model, mopt), InvalidArgument);
 }
 
-// --- Compressed sync -------------------------------------------------
-
-TEST(GradBucketerCompressTest, Fp16SyncMatchesUncompressedToHalfPrecision) {
-  // Mixed layout on purpose: one direct tensor plus small packed ones,
-  // so both the fused pack_scale wire path and the in-place path run.
-  const int ranks = 4;
-  const std::vector<int64_t> sizes{872, 8, 30000, 16, 130};
-  const auto weight = [](int r) { return static_cast<float>(1 + r % 2); };
-  const float inv_total = 1.0F / 6.0F;
-
-  const auto run_mode = [&](comm::CompressMode mode) {
-    std::vector<FakeParams> fps;
-    for (int r = 0; r < ranks; ++r) {
-      fps.emplace_back(sizes, static_cast<uint64_t>(500 + r));
-    }
-    run_ranks(ranks, [&](int r, comm::Communicator& comm) {
-      comm::CompressOptions copts;
-      copts.mode = mode;
-      GradBucketer bucketer(fps[static_cast<size_t>(r)].params, comm, 4096,
-                            copts);
-      EXPECT_EQ(bucketer.compress_mode(), mode);
-      bucketer.begin_step(weight(r), inv_total);
-      bucketer.flush();
-      bucketer.wait_all();
-    });
-    std::vector<float> out;
-    for (const NDArray& g : fps[0].grads) {
-      out.insert(out.end(), g.data(), g.data() + g.numel());
-    }
-    return out;
-  };
-
-  const auto ref = run_mode(comm::CompressMode::kNone);
-  const auto fp16 = run_mode(comm::CompressMode::kFp16);
-  ASSERT_EQ(ref.size(), fp16.size());
-  // Each reduce hop rounds the running sum once to half precision, so
-  // the error is bounded by (hops + 1) half-ULPs of the final magnitude
-  // (|sum| <= 6 here -> ~3e-3 per hop across 4 ranks).
-  for (size_t i = 0; i < ref.size(); ++i) {
-    ASSERT_NEAR(ref[i], fp16[i], 2e-2F) << "elem " << i;
-  }
-}
-
-TEST(GradBucketerCompressTest, TopKConservesMassInResiduals) {
-  // Error feedback means nothing is dropped, only delayed: after one
-  // step, synced mass plus what every rank still holds in residuals
-  // must equal the uncompressed mean, in total.
-  const int ranks = 2;
-  const std::vector<int64_t> sizes{600, 40, 200};
-  const float inv = 1.0F / static_cast<float>(ranks);
-
-  std::vector<FakeParams> ref;
-  for (int r = 0; r < ranks; ++r) {
-    ref.emplace_back(sizes, static_cast<uint64_t>(900 + r));
-  }
-  double expected_mass = 0.0;
-  for (const auto& fp : ref) {
-    for (const NDArray& g : fp.grads) {
-      for (int64_t k = 0; k < g.numel(); ++k) expected_mass += g[k] * inv;
-    }
-  }
-
-  std::vector<FakeParams> fps;
-  for (int r = 0; r < ranks; ++r) {
-    fps.emplace_back(sizes, static_cast<uint64_t>(900 + r));
-  }
-  std::vector<GradBucketer::ResidualState> residuals(ranks);
-  run_ranks(ranks, [&](int r, comm::Communicator& comm) {
-    comm::CompressOptions copts;
-    copts.mode = comm::CompressMode::kTopK;
-    copts.topk_ratio = 0.1;
-    GradBucketer bucketer(fps[static_cast<size_t>(r)].params, comm, 4096,
-                          copts);
-    bucketer.begin_step(1.0F, inv);
-    bucketer.flush();
-    bucketer.wait_all();
-    residuals[static_cast<size_t>(r)] = bucketer.export_residuals();
-  });
-
-  // Synced mass: every rank holds the same mean, count it once.
-  double synced = 0.0;
-  for (const NDArray& g : fps[0].grads) {
-    for (int64_t k = 0; k < g.numel(); ++k) synced += g[k];
-  }
-  // Residual mass is pack-scaled (pack_scale 1 here) and still owes the
-  // unpack_scale it would receive on its delayed sync.
-  double held = 0.0;
-  for (const auto& state : residuals) {
-    for (const auto& bucket : state) {
-      for (float v : bucket) held += v * inv;
-    }
-  }
-  EXPECT_NEAR(synced + held, expected_mass, 1e-2);
-  EXPECT_GT(std::fabs(held), 0.0);  // 0.1 ratio really held mass back
-}
-
-TEST(GradBucketerCompressTest, ResidualsSurviveRebuildAcrossWorldSizes) {
-  // The elastic shrink path: residuals exported from a 3-rank group's
-  // bucketer import cleanly into a 2-rank rebuild over the same
-  // parameter list and cap (the layout is world- and codec-independent),
-  // and the delayed mass drains on the next step.
-  const std::vector<int64_t> sizes{300, 12, 80};
-  comm::CompressOptions copts;
-  copts.mode = comm::CompressMode::kTopK;
-  copts.topk_ratio = 0.05;
-
-  FakeParams fp_a(sizes, 77);
-  GradBucketer::ResidualState exported;
-  {
-    auto comms = comm::make_group(1);
-    GradBucketer a(fp_a.params, comms[0], 2048, copts);
-    a.begin_step(1.0F, 1.0F);
-    a.flush();
-    a.wait_all();
-    exported = a.export_residuals();
-  }
-  double exported_mass = 0.0;  // absolute mass: strictly shrinks on drain
-  for (const auto& b : exported) {
-    for (float v : b) exported_mass += std::fabs(v);
-  }
-  ASSERT_GT(exported_mass, 0.0);
-
-  // Rebuild over a different world size; import; the state must land
-  // verbatim, and a zero-gradient step must start draining it.
-  std::vector<FakeParams> fps;
-  fps.emplace_back(sizes, 88);
-  fps.emplace_back(sizes, 89);
-  std::vector<GradBucketer::ResidualState> after(2);
-  run_ranks(2, [&](int r, comm::Communicator& comm) {
-    auto& fp = fps[static_cast<size_t>(r)];
-    GradBucketer b(fp.params, comm, 2048, copts);
-    if (r == 0) {
-      b.import_residuals(exported);
-      EXPECT_EQ(b.export_residuals(), exported);  // landed verbatim
-    }
-    for (NDArray& g : fp.grads) {
-      std::fill(g.data(), g.data() + g.numel(), 0.0F);
-    }
-    b.begin_step(1.0F, 1.0F);
-    b.flush();
-    b.wait_all();
-    after[static_cast<size_t>(r)] = b.export_residuals();
-  });
-  double remaining = 0.0;
-  for (const auto& b : after[0]) {
-    for (float v : b) remaining += std::fabs(v);
-  }
-  // Some of the imported residual went out on the wire this step.
-  EXPECT_LT(remaining, exported_mass);
-
-  // A layout mismatch is a hard error, not silent corruption.
-  FakeParams other({300, 12, 80, 4}, 99);
-  auto comms = comm::make_group(1);
-  GradBucketer c(other.params, comms[0], 2048, copts);
-  EXPECT_THROW(c.import_residuals(exported), Error);
-}
-
-TEST(GradBucketerCompressTest, FailedStepRollsResidualsBack) {
-  // A step that dies mid-collective is retried (or rolled back to a
-  // checkpoint), so its error-feedback mutations must not survive into
-  // the retry: encode() already accumulated the step's gradient into
-  // the residual and zeroed the entries it put on the (undelivered)
-  // wire — replaying on top of that would double-count the unsent mass
-  // and lose the sent mass. The rollback must work through *both* exit
-  // paths: wait_all() rethrowing a comm-worker error, and abandon().
-  auto& faults = common::FaultInjector::instance();
-  faults.reset();
-  const std::vector<int64_t> sizes{600, 40, 200};  // one packed bucket
-  comm::CompressOptions copts;
-  copts.mode = comm::CompressMode::kTopK;
-  copts.topk_ratio = 0.1;
-
-  std::vector<FakeParams> fps;
-  fps.emplace_back(sizes, 500);
-  fps.emplace_back(sizes, 501);
-  // Step 1 is one allreduce per rank; rank 1's second call — step 2's
-  // bucket — poisons the group.
-  faults.arm_nth_call("comm.all_reduce.r1", 2);
-  std::vector<GradBucketer::ResidualState> before(2);
-  std::vector<GradBucketer::ResidualState> after(2);
-  // Short deadline: rank 0 must fail fast once rank 1's fault poisons
-  // the group instead of waiting forever on the dead peer.
-  auto comms = comm::make_group(2, /*timeout_ms=*/500);
-  std::vector<std::thread> threads;
-  for (int rank = 0; rank < 2; ++rank) {
-    threads.emplace_back([&, r = rank] {
-    comm::Communicator& comm = comms[static_cast<size_t>(r)];
-    GradBucketer b(fps[static_cast<size_t>(r)].params, comm, 4096, copts);
-    b.begin_step(1.0F, 0.5F);
-    b.flush();
-    b.wait_all();  // clean step: residuals legitimately mutated
-    before[static_cast<size_t>(r)] = b.export_residuals();
-    b.begin_step(1.0F, 0.5F);
-    b.flush();
-    // Rank 1 rethrows the injected fault itself; rank 0 times out with
-    // a CommError once the group is poisoned. Either way: it throws.
-    EXPECT_ANY_THROW(b.wait_all());
-    b.abandon();  // the recovery path calls this too; must be safe
-    after[static_cast<size_t>(r)] = b.export_residuals();
-    });
-  }
-  for (auto& t : threads) t.join();
-  faults.reset();
-  for (int r = 0; r < 2; ++r) {
-    EXPECT_EQ(after[static_cast<size_t>(r)], before[static_cast<size_t>(r)])
-        << "rank " << r;
-  }
-  // The clean step really did leave residual state to protect.
-  double mass = 0.0;
-  for (const auto& bucket : before[0]) {
-    for (float v : bucket) mass += std::fabs(v);
-  }
-  EXPECT_GT(mass, 0.0);
-}
-
-TEST(GradBucketerCompressTest, UncompressedBucketerKeepsNoResidualState) {
-  FakeParams fp({64, 8}, 12);
-  auto comms = comm::make_group(1);
-  GradBucketer bucketer(fp.params, comms[0]);
-  EXPECT_EQ(bucketer.compress_mode(), comm::CompressMode::kNone);
-  for (const auto& b : bucketer.export_residuals()) EXPECT_TRUE(b.empty());
-}
-
 }  // namespace
 }  // namespace dmis::train

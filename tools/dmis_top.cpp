@@ -207,21 +207,12 @@ void render(const Scrape& now, const Scrape* prev, double dt_s,
               now.get("dmis_serve_workers"), now.get("dmis_serve_health"),
               rate("dmis_serve_completed"), rate("dmis_serve_shed"),
               now.get("dmis_serve_completed"));
-  // Gradient-sync wire compression (DMIS_COMPRESS): cumulative
-  // logical-to-wire byte ratio, "off" until the first compressed sync.
-  char compress[16];
-  const double cratio = now.get("dmis_comm_compress_ratio");
-  if (cratio > 0.0) {
-    std::snprintf(compress, sizeof(compress), "%.2fx", cratio);
-  } else {
-    std::snprintf(compress, sizeof(compress), "off");
-  }
   std::printf("train   steps %6.0f (%5.1f/s)  epochs %4.0f  world %2.0f  "
-              "straggler ratio %.2f  compress %s\n\n",
+              "straggler ratio %.2f\n\n",
               now.get("dmis_train_steps"), rate("dmis_train_steps"),
               now.get("dmis_train_epochs"),
               now.get("dmis_train_elastic_world_size"),
-              now.get("dmis_train_straggler_ratio"), compress);
+              now.get("dmis_train_straggler_ratio"));
 
   const std::map<int, double> p50 = now.by_rank("dmis_train_rank_step_us_p50");
   if (!p50.empty()) {

@@ -5,11 +5,10 @@
 # against the loop-nest reference and gradchecks — where indexing bugs
 # would scribble), a
 # ThreadSanitizer pass over the concurrency-heavy suites (raylite tasks/
-# tune retries, comm collectives + async comm workers — repeated
-# under DMIS_COMM_ALGO=tree and =hier so every schedule's rendezvous
-# choreography is raced — the gradient bucketer and mirrored strategy,
-# the fault injector, the telemetry registry/tracer, the segmentation
-# server, and the chaos integration sweeps — including chaos_serve, the
+# tune retries, comm collectives + async comm workers, the gradient
+# bucketer and mirrored strategy, the fault injector, the telemetry
+# registry/tracer, the segmentation server, and the chaos integration
+# sweeps — including chaos_serve, the
 # serving robustness gate, and chaos_grow, the elastic scale-up gate),
 # where data races would live, plus an until-fail flake screen over the
 # comm suites, a kill-and-restart sweep-resume smoke, then traced example
@@ -57,40 +56,6 @@ for t in raylite_test comm_test train_test common_test obs_test \
   ./build-tsan/tests/"${t}"
 done
 
-echo "== tsan: comm + chaos_dp under the tree and hier algorithms =="
-# DMIS_COMM_ALGO swaps the all-reduce schedule under every existing
-# comm/chaos scenario (the env override wins over GroupOptions by
-# design, and each suite's references run under the same override), so
-# rank loss, timeouts and aborts are exercised under the tree and
-# hierarchical schedules — race-free under TSan.
-for algo_env in "DMIS_COMM_ALGO=tree" \
-                "DMIS_COMM_ALGO=hier DMIS_COMM_RANKS_PER_NODE=2"; do
-  for t in comm_test chaos_dp_test; do
-    echo "-- tsan: ${t} under ${algo_env}"
-    env ${algo_env} ./build-tsan/tests/"${t}" --gtest_brief=1
-  done
-done
-
-echo "== tsan: gradient compression parity (fp16 / topk) =="
-# DMIS_COMPRESS swaps the gradient-sync wire codec under the same
-# scenarios: the fp16 wire and the top-k error-feedback path must keep
-# every elastic-recovery gate green — including the exact-equivalence
-# chaos tests, which only pass if an aborted step's residual mutations
-# are rolled back before the retry — across the ring, tree and
-# hierarchical schedules, race-free under TSan. comm_test rides along
-# once per mode (codec kernels + env resolution under the override).
-for compress_env in "DMIS_COMPRESS=fp16" \
-                    "DMIS_COMPRESS=topk DMIS_TOPK_RATIO=0.25"; do
-  echo "-- tsan: comm_test under ${compress_env}"
-  env ${compress_env} ./build-tsan/tests/comm_test --gtest_brief=1
-  for algo_env in "" "DMIS_COMM_ALGO=tree" \
-                  "DMIS_COMM_ALGO=hier DMIS_COMM_RANKS_PER_NODE=2"; do
-    echo "-- tsan: chaos_dp_test under ${compress_env} ${algo_env:-ring}"
-    env ${compress_env} ${algo_env} ./build-tsan/tests/chaos_dp_test \
-      --gtest_brief=1
-  done
-done
-
 echo "== tsan chaos: elastic data-parallel recovery under rank loss =="
 # The acceptance gate of the failure-semantics PR: a 4-rank mirrored run
 # loses one rank mid-step (crashed and hung variants) and must either
@@ -104,10 +69,9 @@ echo "== tsan chaos: elastic scale-up under kill + rejoin =="
 # loses rank 3 mid-epoch with its rejoin pre-scheduled (the FaultInjector
 # restart action), continues shrunk to 3, re-admits the rank at the next
 # epoch boundary through the lease-based membership protocol, and must
-# finish at world 4 matching the fault-free 4-rank run — across every
-# all-reduce schedule and wire codec, including the kill-rejoin-kill
-# double fault and the shape-mismatched joiner (typed rejection, no
-# deadlock) — race-free under TSan. The join/admit/commit handshake is
+# finish at world 4 matching the fault-free 4-rank run — including the
+# kill-rejoin-kill double fault and the shape-mismatched joiner (typed
+# rejection, no deadlock) — race-free under TSan. The join/admit/commit handshake is
 # real cross-thread choreography (parked joiner agents vs the driver's
 # epoch boundary), exactly where TSan earns its keep.
 ./build-tsan/tests/chaos_grow_test
@@ -364,17 +328,16 @@ echo "== bench: conv kernels =="
   --benchmark_out=BENCH_conv3d.json --benchmark_out_format=json \
   >/dev/null
 
-echo "== bench: gradient sync + collective algorithms =="
-# Nine randomly interleaved repetitions, gated on their median: the
-# auto-vs-best-fixed gate below compares nearly identical workloads on a
-# timesliced host whose per-rep times scatter with scheduler noise in
-# both directions (a whole repetition can run 20% fast or slow), so a
-# mean, a minimum, or few repetitions all flake; interleaving spreads
-# every benchmark's repetitions across the whole run and the median is
+echo "== bench: gradient sync + ring collectives =="
+# Nine randomly interleaved repetitions, gated on their median: on a
+# timesliced host per-rep times scatter with scheduler noise in both
+# directions (a whole repetition can run 20% fast or slow), so a mean,
+# a minimum, or few repetitions all flake; interleaving spreads every
+# benchmark's repetitions across the whole run and the median is
 # robust to wild single repetitions. Only the aggregate rows (mean,
 # median, stddev, cv) are written, which keeps the committed file small.
 ./build/bench/bench_allreduce \
-  --benchmark_filter='GradSync|RingAllreduce|NaiveReduceBroadcast|AllReduceAlgo' \
+  --benchmark_filter='GradSync|RingAllreduce|NaiveReduceBroadcast' \
   --benchmark_min_time=0.1 \
   --benchmark_repetitions=9 \
   --benchmark_enable_random_interleaving=true \
@@ -389,8 +352,6 @@ with open(sys.argv[1]) as f:
 medians = [b for b in bench["benchmarks"]
            if b.get("aggregate_name") == "median"]
 times = {b["run_name"]: b["real_time"] for b in medians}
-wire = {b["run_name"]: b["wire_reduction"] for b in medians
-        if "wire_reduction" in b}
 
 # The bucketed overlapped gradient sync must beat a blocking per-tensor
 # allreduce (the bench's own loop) by >= 1.5x on the U-Net gradient
@@ -406,57 +367,6 @@ for ranks in (2, 4):
     assert ratio >= 1.5, \
         f"ranks={ranks}: bucketed only {ratio:.2f}x vs per-tensor"
 print("gradient sync bench OK (bucketed >= 1.5x per-tensor at 2 and 4 ranks)")
-
-# The tuner gate: `auto` (algorithm 3) must land within 15% of the
-# best fixed algorithm at every measured payload. A genuinely wrong
-# pick costs >= 25% here (hier anywhere, ring-vs-tree at small sizes;
-# where ring and tree are within noise of each other, either pick is
-# right), while medians of *identical* schedules still wander ~10% on
-# this single-core host — 15% separates mispick from measurement. The
-# committed BENCH_allreduce.json additionally demonstrates auto within
-# 5% of best on a representative quiet run.
-algos = {0: "ring", 1: "tree", 2: "hier", 3: "auto"}
-for payload in (1 << 12, 1 << 16, 1 << 20):
-    fixed = {algos[a]:
-             times[f"BM_AllReduceAlgo/{a}/{payload}/real_time/threads:4"]
-             for a in (0, 1, 2)}
-    auto = times[f"BM_AllReduceAlgo/3/{payload}/real_time/threads:4"]
-    best_name = min(fixed, key=fixed.get)
-    best = fixed[best_name]
-    ratio = auto / best
-    status = "OK" if ratio <= 1.15 else "TOO SLOW"
-    detail = " ".join(f"{n} {t:.3f}ms" for n, t in fixed.items())
-    print(f"payload={payload}: {detail} | auto {auto:.3f}ms = "
-          f"{ratio:.3f}x of best ({best_name}) [{status}]")
-    assert ratio <= 1.15, \
-        f"payload={payload}: auto {ratio:.3f}x of best fixed ({best_name})"
-print("collective algorithm bench OK (auto within 15% of best at all sizes)")
-
-# The compression gate: on the packed-bucket gradient payload (many
-# 32 KiB tensors, 4 ranks) the fp16 wire must (a) measurably halve the
-# bytes peers pull off each rank's registered buffer — wire_reduction
-# is computed from the comm.allreduce_bytes delta, floor 1.8x against
-# an exact 2x — and (b) be no slower end-to-end than the uncompressed
-# path (measured ~1.4x faster: the codec rides the pack/unpack passes
-# the bucketed path already pays while the collective moves half the
-# bytes; 1.0 is a regression floor, not the expectation). Top-k is
-# reported but not floor-gated on time: its win is bytes, not latency,
-# at these payloads.
-for payload in (1 << 18, 1 << 20):  # floats/rank: 1 MiB and 4 MiB
-    none_t = times[f"BM_GradSyncCompress/0/{payload}"]
-    fp16_t = times[f"BM_GradSyncCompress/1/{payload}"]
-    fp16_w = wire[f"BM_GradSyncCompress/1/{payload}"]
-    topk_w = wire[f"BM_GradSyncCompress/2/{payload}"]
-    speed = none_t / fp16_t
-    status = "OK" if fp16_w >= 1.8 and speed >= 1.0 else "FAIL"
-    print(f"payload={payload}: none {none_t:.3f}ms fp16 {fp16_t:.3f}ms "
-          f"({speed:.2f}x) wire fp16 {fp16_w:.2f}x topk {topk_w:.2f}x "
-          f"[{status}]")
-    assert fp16_w >= 1.8, \
-        f"payload={payload}: fp16 wire reduction only {fp16_w:.2f}x"
-    assert speed >= 1.0, \
-        f"payload={payload}: fp16 sync {speed:.2f}x of uncompressed"
-print("compression bench OK (fp16 >= 1.8x fewer wire bytes, not slower)")
 EOF
 
 echo "== bench: serving throughput across worker-pool sizes =="
