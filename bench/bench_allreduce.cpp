@@ -4,7 +4,9 @@
 // naive gather-to-root-and-broadcast reduction, across group sizes;
 // plus back-to-back ring collectives on persistent rank threads across
 // payload sizes, and the bucketed vs per-tensor step gradient sync that
-// verify.sh gates.
+// verify.sh gates. The gradient-sync pair drives its ranks from a
+// ThreadPool built once per run, one closure per rank per iteration,
+// as MirroredStrategy does, so thread start-up stays out of the ratio.
 #include <benchmark/benchmark.h>
 
 #include <functional>
@@ -14,6 +16,7 @@
 
 #include "comm/communicator.hpp"
 #include "nn/unet3d.hpp"
+#include "tensor/thread_pool.hpp"
 #include "train/grad_bucketer.hpp"
 
 namespace {
@@ -184,10 +187,10 @@ void BM_GradSyncPerTensor(benchmark::State& state) {
   std::vector<RankGrads> rg;
   for (int r = 0; r < ranks; ++r) rg.emplace_back(unet_grad_sizes());
   const float inv = 1.0F / static_cast<float>(ranks);
+  ThreadPool pool(ranks);
   for (auto _ : state) {
-    std::vector<std::thread> threads;
     for (int r = 0; r < ranks; ++r) {
-      threads.emplace_back([&, r] {
+      pool.submit([&, r] {
         for (nn::Param& p : rg[static_cast<size_t>(r)].params) {
           p.grad->scale_(1.0F);
           comms[static_cast<size_t>(r)].all_reduce_sum(p.grad->span());
@@ -195,7 +198,7 @@ void BM_GradSyncPerTensor(benchmark::State& state) {
         }
       });
     }
-    for (auto& t : threads) t.join();
+    pool.wait_idle();
   }
   state.SetBytesProcessed(state.iterations() * ranks * kUnetParams *
                           static_cast<int64_t>(sizeof(float)));
@@ -214,10 +217,10 @@ void BM_GradSyncBucketed(benchmark::State& state) {
         train::GradBucketer::kDefaultBucketBytes));
   }
   const float inv = 1.0F / static_cast<float>(ranks);
+  ThreadPool pool(ranks);
   for (auto _ : state) {
-    std::vector<std::thread> threads;
     for (int r = 0; r < ranks; ++r) {
-      threads.emplace_back([&, r] {
+      pool.submit([&, r] {
         auto& bucketer = *bucketers[static_cast<size_t>(r)];
         auto& params = rg[static_cast<size_t>(r)].params;
         bucketer.begin_step(1.0F, inv);
@@ -230,7 +233,7 @@ void BM_GradSyncBucketed(benchmark::State& state) {
         bucketer.wait_all();
       });
     }
-    for (auto& t : threads) t.join();
+    pool.wait_idle();
   }
   state.SetBytesProcessed(state.iterations() * ranks * kUnetParams *
                           static_cast<int64_t>(sizeof(float)));

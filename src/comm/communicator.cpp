@@ -117,18 +117,6 @@ void AsyncRequest::wait() {
   if (state_->error) std::rethrow_exception(state_->error);
 }
 
-void wait_all(std::vector<AsyncRequest>& requests) {
-  std::exception_ptr first;
-  for (AsyncRequest& req : requests) {
-    try {
-      req.wait();
-    } catch (...) {
-      if (!first) first = std::current_exception();
-    }
-  }
-  if (first) std::rethrow_exception(first);
-}
-
 CollectiveContext::CollectiveContext(int size, int64_t timeout_ms)
     : size_(size),
       timeout_ms_(timeout_ms < 0
@@ -189,12 +177,6 @@ RankHealth CollectiveContext::health(int rank) const {
   return static_cast<RankHealth>(
       rank_state_[static_cast<size_t>(rank)].health.load(
           std::memory_order_acquire));
-}
-
-int64_t CollectiveContext::last_beat_us(int rank) const {
-  DMIS_CHECK(rank >= 0 && rank < size_, "bad rank " << rank);
-  return rank_state_[static_cast<size_t>(rank)].last_beat_us.load(
-      std::memory_order_relaxed);
 }
 
 CollectiveContext::Deadline CollectiveContext::collective_deadline() const {
@@ -539,15 +521,6 @@ AsyncRequest Communicator::all_reduce_sum_async(std::span<float> data,
                                                 float scale) {
   return ctx_->submit(rank_,
                       [this, data, scale] { all_reduce_impl(data, scale); });
-}
-
-AsyncRequest Communicator::all_reduce_sum_async(
-    std::vector<std::span<float>> buffers, float scale) {
-  return ctx_->submit(rank_, [this, buffers = std::move(buffers), scale] {
-    for (const std::span<float> data : buffers) {
-      all_reduce_impl(data, scale);
-    }
-  });
 }
 
 void Communicator::all_reduce_impl(std::span<float> data, float scale) {

@@ -42,8 +42,9 @@
 //    the same way. An aborted group is dead; recovery means building a
 //    new (smaller) group — see train::MirroredStrategy's elastic mode.
 //  * Health table. Each rank heartbeats at collective entry (timestamp
-//    + op count). Timeouts turn laggards into suspects; abort() and
-//    fencing turn ranks into kDead.
+//    + op count; the flight recorder's health rows show both, and the
+//    op count sequences the rendezvous). Timeouts turn laggards into
+//    suspects; abort() and fencing turn ranks into kDead.
 //  * Agreement. After an abort, survivors call agree_on_failures():
 //    each registers itself alive and folds in its suspicions; the round
 //    *seals* once every rank is either registered or suspected/dead (or
@@ -133,11 +134,6 @@ class AsyncRequest {
   std::shared_ptr<State> state_;
 };
 
-/// Waits on every request (even after one fails, so no operation is
-/// still touching caller buffers on return), then rethrows the first
-/// error encountered in request order.
-void wait_all(std::vector<AsyncRequest>& requests);
-
 /// Shared rendezvous state for one group of ranks.
 class CollectiveContext {
  public:
@@ -159,11 +155,6 @@ class CollectiveContext {
 
   /// Health of `rank` as currently recorded.
   RankHealth health(int rank) const;
-
-  /// Microsecond timestamp (obs::Tracer::now_us clock) of `rank`'s most
-  /// recent collective heartbeat; 0 if it never entered a collective.
-  /// The membership layer renews per-rank leases off this table.
-  int64_t last_beat_us(int rank) const;
 
  private:
   friend class Communicator;
@@ -316,9 +307,6 @@ class Communicator {
   /// Health of `rank` as observed through collective heartbeats.
   RankHealth health(int rank) const { return ctx_->health(rank); }
 
-  /// Timestamp (µs) of `rank`'s last collective heartbeat (0 = never).
-  int64_t last_beat_us(int rank) const { return ctx_->last_beat_us(rank); }
-
   /// Poison pill: marks this rank dead, wakes every rank blocked in a
   /// collective (they throw CommError{kPeerFailed}) and makes all later
   /// collectives on this group fail fast. Call when this rank is about
@@ -356,12 +344,6 @@ class Communicator {
   /// exactly as in all_reduce_mean (every element of the result is the
   /// group sum times `scale`); all ranks must pass the same value.
   AsyncRequest all_reduce_sum_async(std::span<float> data,
-                                    float scale = 1.0F);
-
-  /// Group launch: one submission covering several buffers, reduced
-  /// back-to-back by the comm worker in the given order under a single
-  /// completion handle — the fused-bucket form used by GradBucketer.
-  AsyncRequest all_reduce_sum_async(std::vector<std::span<float>> buffers,
                                     float scale = 1.0F);
 
   /// Sums every rank's buffer into root's buffer (others unchanged).

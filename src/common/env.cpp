@@ -1,6 +1,7 @@
 #include "common/env.hpp"
 
 #include <cerrno>
+#include <cmath>
 #include <cstdlib>
 #include <cstring>
 #include <initializer_list>
@@ -20,6 +21,17 @@ std::optional<int64_t> env_int(const char* name, int64_t min, int64_t max) {
              name << " must be an integer in [" << min << ", " << max
                   << "], got '" << env << "'");
   return static_cast<int64_t>(v);
+}
+
+std::optional<double> env_double(const char* name, double above) {
+  const char* env = std::getenv(name);
+  if (env == nullptr || *env == '\0') return std::nullopt;
+  char* end = nullptr;
+  const double v = std::strtod(env, &end);
+  DMIS_CHECK(end != env && *end == '\0' && std::isfinite(v) && v > above,
+             name << " must be a finite number > " << above << ", got '"
+                  << env << "'");
+  return v;
 }
 
 std::optional<bool> env_bool(const char* name) {

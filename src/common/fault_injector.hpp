@@ -93,8 +93,8 @@ class FaultInjector {
   void set_action_hang(const std::string& point, int64_t auto_release_ms = -1);
 
   /// Replaces `point`'s fire action: run `on_restart` (the "process
-  /// came back and asked to rejoin" side effect — e.g. filing a
-  /// membership join request), then throw FaultInjected as usual. This
+  /// came back and asked to rejoin" side effect — e.g.
+  /// MirroredStrategy::request_rejoin()), then throw FaultInjected as usual. This
   /// is how a chaos test kills a rank *and* deterministically schedules
   /// its return: the crash is real (the exception propagates, the group
   /// is poisoned) but the replacement worker's rejoin is already in

@@ -1,16 +1,14 @@
 #include "train/mirrored.hpp"
 
 #include <algorithm>
+#include <atomic>
 #include <exception>
 #include <filesystem>
 #include <mutex>
-#include <thread>
 
 #include "comm/communicator.hpp"
-#include "comm/membership.hpp"
 #include "common/check.hpp"
 #include "common/env.hpp"
-#include "common/logging.hpp"
 #include "nn/checkpoint.hpp"
 #include "obs/flight_recorder.hpp"
 #include "obs/metrics.hpp"
@@ -42,20 +40,6 @@ void record_overlap(const GradBucketer& bucketer, int64_t backward_end_us) {
     tracer.record_span("train.grad_sync.tail", overlap_end,
                        wait_end - overlap_end);
   }
-}
-
-// The checkpoint contract joiners are validated against: ordered
-// (name, shape) of everything the grow broadcast will push.
-comm::WorldSignature world_signature(nn::UNet3d& model) {
-  comm::WorldSignature sig;
-  for (const nn::Param& p : model.checkpoint_params()) {
-    comm::ParamSig ps;
-    ps.name = p.name;
-    const Shape& s = p.value->shape();
-    for (int d = 0; d < s.rank(); ++d) ps.dims.push_back(s.dim(d));
-    sig.push_back(std::move(ps));
-  }
-  return sig;
 }
 
 // Everything one failed step leaves behind for the driver: which
@@ -97,16 +81,11 @@ struct MirroredStrategy::Impl {
   std::unique_ptr<ThreadPool> ranks;
   int rank_share = 1;  // intra-op share of each rank worker
   bool elastic = false;
-  bool elastic_grow = false;
   std::string ckpt_path;  // elastic_dir + "/elastic.ckpt"
   int64_t recoveries = 0;
   int64_t grows = 0;
-
-  // Elastic scale-up state (elastic_grow only).
-  comm::WorldSignature signature;
-  std::unique_ptr<comm::MembershipService> membership;
-  std::mutex joiner_mutex;
-  std::vector<std::thread> joiners;  // request_rejoin agent threads
+  // Ranks requested by request_rejoin(), admitted at the next boundary.
+  std::atomic<int> pending_rejoins{0};
 };
 
 MirroredStrategy::MirroredStrategy(const nn::UNet3dOptions& model_options,
@@ -129,63 +108,20 @@ MirroredStrategy::MirroredStrategy(const nn::UNet3dOptions& model_options,
                "step-consistent checkpoint");
     impl_->ckpt_path = options_.elastic_dir + "/elastic.ckpt";
   }
-  impl_->elastic_grow =
-      env_bool("DMIS_ELASTIC_GROW").value_or(options.elastic_grow);
-  if (impl_->elastic_grow) {
-    DMIS_CHECK(impl_->elastic,
-               "elastic_grow requires elastic mode: the grow path reuses "
-               "the step-consistent checkpoint and recovery machinery");
-    impl_->signature = world_signature(*replicas_.front());
-    impl_->membership = std::make_unique<comm::MembershipService>(
-        r, impl_->signature, options_.lease_ms);
-  }
   build_group();
 }
 
-MirroredStrategy::~MirroredStrategy() {
-  // Wake any joiner agent still parked in await_admission (kShutdown),
-  // then reap the agent threads before members are torn down.
-  if (impl_->membership != nullptr) impl_->membership->shutdown();
-  std::vector<std::thread> joiners;
-  {
-    const std::lock_guard<std::mutex> lock(impl_->joiner_mutex);
-    joiners.swap(impl_->joiners);
-  }
-  for (std::thread& t : joiners) {
-    if (t.joinable()) t.join();
-  }
-}
+MirroredStrategy::~MirroredStrategy() = default;
 
 bool MirroredStrategy::elastic() const { return impl_->elastic; }
-
-bool MirroredStrategy::elastic_grow() const { return impl_->elastic_grow; }
 
 int64_t MirroredStrategy::recoveries() const { return impl_->recoveries; }
 
 int64_t MirroredStrategy::grows() const { return impl_->grows; }
 
-comm::MembershipService& MirroredStrategy::membership() {
-  DMIS_CHECK(impl_->membership != nullptr,
-             "membership() requires elastic_grow mode");
-  return *impl_->membership;
-}
-
 void MirroredStrategy::request_rejoin() {
-  DMIS_CHECK(impl_->membership != nullptr,
-             "request_rejoin() requires elastic_grow mode");
-  const std::lock_guard<std::mutex> lock(impl_->joiner_mutex);
-  impl_->joiners.emplace_back([this] {
-    try {
-      const comm::JoinTicket ticket =
-          impl_->membership->request_join(impl_->signature);
-      (void)impl_->membership->await_admission(ticket,
-                                               options_.join_timeout_ms);
-    } catch (const comm::MembershipError& e) {
-      // Rejected, timed out, or the strategy shut down: this agent's
-      // node simply stays out of the group.
-      DMIS_LOG(kInfo) << "rejoin agent not admitted: " << e.what();
-    }
-  });
+  DMIS_CHECK(impl_->elastic, "request_rejoin() requires elastic mode");
+  impl_->pending_rejoins.fetch_add(1, std::memory_order_relaxed);
 }
 
 double MirroredStrategy::effective_lr() const {
@@ -311,9 +247,6 @@ TrainReport MirroredStrategy::fit(data::BatchStream& train,
     recovery_counter.add(1);
     build_group();
     world_gauge.set(static_cast<double>(world_size()));
-    if (impl_->membership != nullptr) {
-      impl_->membership->set_world(world_size(), obs::Tracer::now_us());
-    }
     obs::FlightRecorder::instance().dump(
         "train.elastic.shrink(" + std::to_string(old_world) + "->" +
         std::to_string(world_size()) + ")");
@@ -337,24 +270,8 @@ TrainReport MirroredStrategy::fit(data::BatchStream& train,
   // every step of the epoch), and a step-consistent checkpoint was just
   // written — the one moment the world can change shape safely.
   const auto maybe_grow = [&]() {
-    if (impl_->membership == nullptr) return;
-    comm::MembershipService& ms = *impl_->membership;
-    // Renew survivor leases off the collective heartbeat table.
-    for (int rnk = 0; rnk < world_size(); ++rnk) {
-      const int64_t beat =
-          impl_->comms[static_cast<size_t>(rnk)].last_beat_us(rnk);
-      if (beat > 0) ms.renew(rnk, beat);
-    }
-    if (ms.parked() == 0) return;
-    const std::vector<int> expired = ms.expired_ranks(obs::Tracer::now_us());
-    if (!expired.empty()) {
-      // A group that cannot keep its own leases fresh must not take on
-      // joiners; the request stays parked for the next boundary.
-      DMIS_LOG(kWarn) << "elastic grow: deferring admission, "
-                     << expired.size() << " survivor lease(s) expired";
-      return;
-    }
-    const int admitted = ms.admit_pending();
+    const int admitted =
+        impl_->pending_rejoins.exchange(0, std::memory_order_relaxed);
     if (admitted == 0) return;
     DMIS_TRACE_SPAN("train.elastic.grow");
     const int old_world = world_size();
@@ -418,13 +335,6 @@ TrainReport MirroredStrategy::fit(data::BatchStream& train,
     impl_->ranks->wait_idle();
     if (bcast_err) std::rethrow_exception(bcast_err);
     for (auto& opt : impl_->optimizers) opt->set_step_count(opt_steps);
-    // Commit: joiners wake with their ranks, leases restart fresh, and
-    // every member of the new world agrees on (world, epoch).
-    const int committed = ms.commit_transition(obs::Tracer::now_us());
-    DMIS_CHECK(committed == world,
-               "membership world " << committed
-                                   << " diverged from strategy world "
-                                   << world);
     ++impl_->grows;
     grow_counter.add(1);
     world_gauge.set(static_cast<double>(world));

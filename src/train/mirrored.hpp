@@ -35,21 +35,14 @@
 //    checkpoint, so with the default every-step cadence at most one
 //    step of work is lost per failure.
 //
-// Scale-UP (MirroredOptions::elastic_grow or DMIS_ELASTIC_GROW=1, on
-// top of elastic): a comm::MembershipService (per-rank leases renewed
-// off the collective heartbeat table, DMIS_COMM_LEASE_MS) accepts join
-// requests from returning workers — request_rejoin() files one, and
-// the FaultInjector restart action lets chaos tests kill a rank with
-// its rejoin already scheduled. At each epoch boundary (in-flight
-// buckets drained, no collective live) the driver renews survivor
-// leases, validates parked joiners against the world's checkpoint
-// signature (mismatches get a typed MembershipError, never a
-// broadcast), appends fresh replicas, rebuilds the communicator over
-// the enlarged world (fresh StragglerDetector baselines), broadcasts
-// rank 0's weights + optimizer slots + __progress__ to everyone,
-// rescales the learning rate back up, and commits the membership
-// transition — survivors and joiners leave the barrier agreeing on the
-// new world. Both shrink and grow emit a tagged
+// Scale-UP (elastic mode): request_rejoin() counts one returning rank
+// — the FaultInjector restart action lets chaos tests kill a rank with
+// its rejoin already requested. At the next epoch boundary (in-flight
+// buckets drained, no collective live, checkpoint just written) the
+// driver appends that many fresh replicas, rebuilds the communicator
+// over the enlarged world (fresh StragglerDetector baselines, learning
+// rate rescaled back up), and broadcasts rank 0's weights + optimizer
+// slots + __progress__ to everyone. Both shrink and grow emit a tagged
 // flight-recorder dump and update the train.elastic.world_size gauge.
 //
 // The step-consistent checkpoint piggybacks on nn::save_checkpoint
@@ -74,10 +67,6 @@
 
 #include "train/trainer.hpp"
 
-namespace dmis::comm {
-class MembershipService;
-}  // namespace dmis::comm
-
 namespace dmis::train {
 
 struct MirroredOptions {
@@ -101,18 +90,6 @@ struct MirroredOptions {
   /// missing; stale *.tmp files from crashed saves are swept on fit()
   /// entry).
   std::string elastic_dir;
-  /// Re-admit returning ranks at epoch boundaries (see file comment).
-  /// Requires elastic mode; DMIS_ELASTIC_GROW overrides (env_bool, as
-  /// above).
-  bool elastic_grow = false;
-  /// Membership lease duration in ms handed to the MembershipService:
-  /// < 0 resolves DMIS_COMM_LEASE_MS (unset -> 2000). A survivor whose
-  /// collective heartbeat is older than this at an epoch boundary
-  /// vetoes admission (the group is not healthy enough to grow).
-  int64_t lease_ms = -1;
-  /// How long a request_rejoin() agent waits to be admitted before
-  /// giving up with MembershipError{kTimeout}.
-  int64_t join_timeout_ms = 120'000;
   /// Per-collective deadline handed to the comm group, in milliseconds:
   /// < 0 resolves DMIS_COMM_TIMEOUT_MS, 0 = no deadline. A deadline is
   /// what turns a *hung* (not crashed) rank into a typed failure.
@@ -160,25 +137,17 @@ class MirroredStrategy {
   /// True when elastic recovery is enabled (option or DMIS_ELASTIC).
   bool elastic() const;
 
-  /// True when elastic scale-up is enabled (option or DMIS_ELASTIC_GROW).
-  bool elastic_grow() const;
-
   /// Elastic recoveries performed so far by this strategy.
   int64_t recoveries() const;
 
   /// Elastic grow transitions (re-admissions) performed so far.
   int64_t grows() const;
 
-  /// The membership service (elastic_grow only — throws otherwise).
-  /// Tests use it to file joins directly, e.g. with a bad signature.
-  comm::MembershipService& membership();
-
-  /// Files a join request for one returning rank: a joiner agent thread
-  /// requests admission with the world's true checkpoint signature and
-  /// parks until an epoch boundary admits it (or fit() ends and the
-  /// shutdown rejects it). The FaultInjector restart action calls this
-  /// from the dying rank, so a chaos kill deterministically schedules
-  /// its own return. Requires elastic_grow.
+  /// Requests one returning rank: the next epoch boundary (not after
+  /// the last epoch) adds a replica for it. Thread-safe; the
+  /// FaultInjector restart action calls this from the dying rank, so a
+  /// chaos kill deterministically schedules its own return. Requires
+  /// elastic mode.
   void request_rejoin();
 
   /// Effective learning rate after the linear scaling rule, for the

@@ -1,9 +1,9 @@
 #include "train/straggler.hpp"
 
 #include <algorithm>
-#include <cstdlib>
 
 #include "common/check.hpp"
+#include "common/env.hpp"
 #include "common/logging.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
@@ -12,17 +12,8 @@ namespace dmis::train {
 
 StragglerOptions StragglerOptions::from_env() {
   StragglerOptions opts;
-  if (const char* env = std::getenv("DMIS_STRAGGLER_FACTOR");
-      env != nullptr && *env != '\0') {
-    const double v = std::strtod(env, nullptr);
-    if (v > 1.0) {
-      opts.threshold = v;
-    } else {
-      DMIS_LOG(kWarn) << "DMIS_STRAGGLER_FACTOR=" << env
-                      << " must be > 1.0; keeping default "
-                      << opts.threshold;
-    }
-  }
+  opts.threshold =
+      env_double("DMIS_STRAGGLER_FACTOR", 1.0).value_or(opts.threshold);
   return opts;
 }
 

@@ -35,8 +35,8 @@ struct StragglerOptions {
   /// Rolling window the comparison runs over.
   int64_t window_us = 60'000'000;
 
-  /// threshold from DMIS_STRAGGLER_FACTOR (> 1.0; invalid values keep
-  /// the default).
+  /// threshold from DMIS_STRAGGLER_FACTOR (unset keeps the default;
+  /// anything but a finite number > 1.0 throws InvalidArgument).
   static StragglerOptions from_env();
 };
 

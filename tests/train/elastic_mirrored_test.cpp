@@ -243,9 +243,9 @@ TEST_F(ElasticMirroredTest, EnvOverrideControlsElasticMode) {
   EXPECT_THROW(MirroredStrategy(tiny_model(), bad), InvalidArgument);
 }
 
-// "no", "disabled" or a typo must not switch elastic mode on: both
-// knobs accept only 1/0, true/false, on/off and name themselves when
-// they reject a value.
+// "no", "disabled" or a typo must not switch elastic mode on: the knob
+// accepts only 1/0, true/false, on/off and names itself when it rejects
+// a value.
 TEST_F(ElasticMirroredTest, MalformedElasticKnobsAreRejected) {
   MirroredOptions mopt;
   mopt.num_replicas = 2;
@@ -264,15 +264,6 @@ TEST_F(ElasticMirroredTest, MalformedElasticKnobsAreRejected) {
   };
   expect_rejected("DMIS_ELASTIC", "no");
   expect_rejected("DMIS_ELASTIC", "disabled");
-  mopt.elastic = true;
-  expect_rejected("DMIS_ELASTIC_GROW", "no");
-  expect_rejected("DMIS_ELASTIC_GROW", "ture");
-
-  ::setenv("DMIS_ELASTIC_GROW", "off", 1);
-  MirroredStrategy off(tiny_model(), mopt);
-  EXPECT_TRUE(off.elastic());
-  EXPECT_FALSE(off.elastic_grow());
-  ::unsetenv("DMIS_ELASTIC_GROW");
 }
 
 }  // namespace

@@ -4,6 +4,7 @@
 
 #include <cstdlib>
 
+#include "common/check.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 
@@ -117,12 +118,12 @@ TEST_F(StragglerTest, ThresholdComesFromEnv) {
   ::setenv("DMIS_STRAGGLER_FACTOR", "3.5", 1);
   EXPECT_DOUBLE_EQ(StragglerOptions::from_env().threshold, 3.5);
 
-  // A factor <= 1 would flag every group; keep the default instead.
-  ::setenv("DMIS_STRAGGLER_FACTOR", "0.5", 1);
-  EXPECT_DOUBLE_EQ(StragglerOptions::from_env().threshold, 2.0);
-
-  ::setenv("DMIS_STRAGGLER_FACTOR", "junk", 1);
-  EXPECT_DOUBLE_EQ(StragglerOptions::from_env().threshold, 2.0);
+  // A factor <= 1 would flag every group; a trailing unit, junk or a
+  // non-finite value is a typo, not a threshold. All are rejected.
+  for (const char* bad : {"0.5", "1", "junk", "2.5x", "inf", "nan"}) {
+    ::setenv("DMIS_STRAGGLER_FACTOR", bad, 1);
+    EXPECT_THROW((void)StragglerOptions::from_env(), InvalidArgument) << bad;
+  }
 }
 
 TEST_F(StragglerTest, ThresholdGatesTheVerdict) {

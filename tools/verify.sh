@@ -68,12 +68,12 @@ echo "== tsan chaos: elastic scale-up under kill + rejoin =="
 # The acceptance gate of the elastic scale-up PR: a 4-rank mirrored run
 # loses rank 3 mid-epoch with its rejoin pre-scheduled (the FaultInjector
 # restart action), continues shrunk to 3, re-admits the rank at the next
-# epoch boundary through the lease-based membership protocol, and must
-# finish at world 4 matching the fault-free 4-rank run — including the
-# kill-rejoin-kill double fault and the shape-mismatched joiner (typed
-# rejection, no deadlock) — race-free under TSan. The join/admit/commit handshake is
-# real cross-thread choreography (parked joiner agents vs the driver's
-# epoch boundary), exactly where TSan earns its keep.
+# epoch boundary (the rejoin request is a count the boundary drains),
+# and must finish at world 4 matching the fault-free 4-rank run —
+# including the kill-rejoin-kill double fault and a slow epoch boundary
+# — race-free under TSan. The rejoin is requested from a dying rank
+# thread and drained by the driver, and the grow broadcast runs on the
+# rebuilt group's rank workers, which is where TSan earns its keep.
 ./build-tsan/tests/chaos_grow_test
 
 echo "== tsan chaos: segmentation serving under crashes, hangs, delays =="
