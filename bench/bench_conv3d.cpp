@@ -59,7 +59,7 @@ void BM_Conv3dForwardStride2(benchmark::State& state) {
 BENCHMARK(BM_Conv3dForwardStride2)->Apply(ConvArgs)->Unit(benchmark::kMillisecond);
 
 void BM_Conv3dForward1x1x1(benchmark::State& state) {
-  // Segmentation-head shape: the layer skips im2col entirely here.
+  // Segmentation-head shape: a plain SGEMM on the activation, no lowering.
   const int64_t c = state.range(0);
   Rng rng(1);
   nn::Conv3d conv(c, 4, 1, 1, 0, rng);

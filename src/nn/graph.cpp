@@ -26,7 +26,6 @@ const std::string& Graph::add(const std::string& name,
   Node node;
   node.name = name;
   node.module = std::move(module);
-  node.module->set_workspace(workspace_);
   const int self = static_cast<int>(nodes_.size());
   for (const auto& in : inputs) {
     const int idx = index_of(in);

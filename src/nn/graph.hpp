@@ -14,7 +14,6 @@
 #include <vector>
 
 #include "nn/module.hpp"
-#include "nn/workspace.hpp"
 
 namespace dmis::nn {
 
@@ -80,9 +79,6 @@ class Graph {
 
   int64_t num_params();
 
-  /// The scratch arena shared by every layer added to this graph.
-  const std::shared_ptr<Workspace>& workspace() const { return workspace_; }
-
  private:
   struct Node {
     std::string name;
@@ -100,7 +96,6 @@ class Graph {
   std::map<std::string, int> by_name_;
   GradReadyHook grad_ready_hook_;
   int output_node_ = -1;
-  std::shared_ptr<Workspace> workspace_ = std::make_shared<Workspace>();
 };
 
 }  // namespace dmis::nn

@@ -5,7 +5,6 @@
 #include "common/check.hpp"
 #include "nn/init.hpp"
 #include "tensor/gemm.hpp"
-#include "tensor/im2col.hpp"
 
 namespace dmis::nn {
 
@@ -29,20 +28,17 @@ Conv3d::Conv3d(int64_t in_channels, int64_t out_channels, int kernel,
   he_init(weight_, fan_in, rng);
 }
 
-Workspace& Conv3d::workspace() {
-  if (!workspace_) workspace_ = std::make_shared<Workspace>();
-  return *workspace_;
-}
-
 NDArray Conv3d::forward(std::span<const NDArray* const> inputs,
-                        bool /*training*/) {
+                        bool training) {
   DMIS_CHECK(inputs.size() == 1, "Conv3d expects 1 input");
   const NDArray& in = *inputs[0];
   const Shape& s = in.shape();
   DMIS_CHECK(s.rank() == 5, "Conv3d expects rank-5 input, got " << s.str());
   DMIS_CHECK(s.c() == cin_, "Conv3d expects " << cin_ << " input channels, got "
                                               << s.c());
-  input_ = in;  // retain for backward
+  // Only a training forward is followed by backward; an inference
+  // forward drops any earlier activation instead of copying this one.
+  input_ = training ? in : NDArray();
 
   const int64_t N = s.n(), D = s.d(), H = s.dim(3), W = s.dim(4);
   const int64_t OD = out_extent(D), OH = out_extent(H), OW = out_extent(W);
@@ -51,38 +47,34 @@ NDArray Conv3d::forward(std::span<const NDArray* const> inputs,
   NDArray out(Shape{N, cout_, OD, OH, OW});
 
   const int64_t k = kernel_, st = stride_, p = padding_;
-  const int64_t taps = cin_ * k * k * k;  // rows of the column matrix
-  const int64_t cols = OD * OH * OW;      // output positions
+  const int64_t cols = OD * OH * OW;  // output positions
   const float* x = in.data();
   const float* w = weight_.data();
   const float* b = bias_.data();
   float* y = out.data();
 
-  // 1x1x1 stride-1 convolutions (the U-Net head) are already a GEMM on
-  // the raw activation — no lowering needed.
-  const bool identity_cols = (k == 1 && st == 1 && p == 0);
-  std::span<float> col;
-  if (!identity_cols) col = workspace().scratch(taps * cols);
-
   for (int64_t n = 0; n < N; ++n) {
     const float* xn = x + n * cin_ * D * H * W;
     float* yn = y + n * cout_ * cols;
-    const float* colp = xn;
-    if (!identity_cols) {
-      im2col_3d(xn, cin_, D, H, W, k, st, p, OD, OH, OW, col.data());
-      colp = col.data();
-    }
     for (int64_t co = 0; co < cout_; ++co) {
       std::fill_n(yn + co * cols, cols, b[co]);
     }
-    // Y[Cout, P] += W[Cout, taps] * col[taps, P]
-    sgemm(false, false, cout_, cols, taps, w, taps, colp, cols, yn, cols,
-          /*accumulate=*/true);
+    if (identity_cols()) {
+      // Y[Cout, P] += W[Cout, Cin] * X[Cin, P]
+      sgemm(false, false, cout_, cols, cin_, w, cin_, xn, cols, yn, cols,
+            /*accumulate=*/true);
+    } else {
+      // Y[Cout, P] += W[Cout, taps] * im2col(X)[taps, P]
+      im2col_gemm_3d(w, xn, cout_, cin_, D, H, W, k, st, p, OD, OH, OW, yn,
+                     /*accumulate=*/true);
+    }
   }
   return out;
 }
 
 std::vector<NDArray> Conv3d::backward(const NDArray& grad_output) {
+  DMIS_CHECK(input_.shape().rank() == 5,
+             "Conv3d backward needs a training forward first");
   const Shape& is = input_.shape();
   const int64_t N = is.n(), D = is.d(), H = is.dim(3), W = is.dim(4);
   const int64_t OD = out_extent(D), OH = out_extent(H), OW = out_extent(W);
@@ -92,7 +84,6 @@ std::vector<NDArray> Conv3d::backward(const NDArray& grad_output) {
 
   NDArray grad_input(is);
   const int64_t k = kernel_, st = stride_, p = padding_;
-  const int64_t taps = cin_ * k * k * k;
   const int64_t cols = OD * OH * OW;
   const float* x = input_.data();
   const float* w = weight_.data();
@@ -111,32 +102,22 @@ std::vector<NDArray> Conv3d::backward(const NDArray& grad_output) {
     gb[co] += static_cast<float>(acc);
   }
 
-  const bool identity_cols = (k == 1 && st == 1 && p == 0);
-  std::span<float> col;
-  if (!identity_cols) col = workspace().scratch(taps * cols);
-
   for (int64_t n = 0; n < N; ++n) {
     const float* xn = x + n * cin_ * D * H * W;
     const float* gon = go + n * cout_ * cols;
     float* gin = gi + n * cin_ * D * H * W;
-
-    // Weight gradient first (it consumes im2col of the input) ...
-    const float* colp = xn;
-    if (!identity_cols) {
-      im2col_3d(xn, cin_, D, H, W, k, st, p, OD, OH, OW, col.data());
-      colp = col.data();
-    }
-    // GW[Cout, taps] += GO[Cout, P] * col[taps, P]^T
-    sgemm(false, true, cout_, taps, cols, gon, cols, colp, cols, gw, taps,
-          /*accumulate=*/true);
-
-    // ... then the input gradient, GI = col2im(W^T * GO), accumulated
-    // straight into the zeroed grad_input without a column matrix.
-    if (identity_cols) {
-      // GI[Cin, P] = W[Cout, Cin]^T * GO[Cout, P].
-      sgemm(true, false, taps, cols, cout_, w, taps, gon, cols, gin, cols,
+    if (identity_cols()) {
+      // GW[Cout, Cin] += GO[Cout, P] * X[Cin, P]^T
+      sgemm(false, true, cout_, cin_, cols, gon, cols, xn, cols, gw, cin_,
+            /*accumulate=*/true);
+      // GI[Cin, P] = W[Cout, Cin]^T * GO[Cout, P]
+      sgemm(true, false, cin_, cols, cout_, w, cin_, gon, cols, gin, cols,
             /*accumulate=*/false);
     } else {
+      // GW[Cout, taps] += GO[Cout, P] * im2col(X)[taps, P]^T
+      gemm_im2col_t_3d(gon, xn, cout_, cin_, D, H, W, k, st, p, OD, OH, OW,
+                       gw, /*accumulate=*/true);
+      // GI += col2im(W^T * GO), into the zeroed grad_input.
       col2im_gemm_3d(w, gon, cout_, cin_, D, H, W, k, st, p, OD, OH, OW, gin);
     }
   }

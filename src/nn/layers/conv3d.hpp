@@ -4,19 +4,16 @@
 // head convolutions; this layer is generic over cubic kernel size, stride
 // and padding. Weight layout is [Cout, Cin, K, K, K].
 //
-// Forward and weight-gradient passes lower to im2col + blocked SGEMM;
-// the column buffer comes from the shared Workspace, so steady-state
-// steps allocate nothing inside the kernel. The input gradient uses the
-// fused GEMM + col2im kernel, which needs no column buffer. 1x1x1/stride-1
-// convolutions skip im2col and feed SGEMM directly. The direct loop-nest
-// reference these passes are differentially tested against lives in
-// tests/nn/conv_reference.hpp.
+// Every pass is a GEMM against the conv's im2col lowering, and none
+// stores it: forward is im2col_gemm_3d, the weight gradient
+// gemm_im2col_t_3d and the input gradient col2im_gemm_3d (tensor/gemm.hpp),
+// which gather or scatter the taps inside the GEMM. 1x1x1/stride-1
+// convolutions (the U-Net head) need no lowering and call SGEMM on the
+// activation. The direct loop-nest reference these passes are
+// differentially tested against lives in tests/nn/conv_reference.hpp.
 #pragma once
 
-#include <memory>
-
 #include "nn/module.hpp"
-#include "nn/workspace.hpp"
 #include "tensor/rng.hpp"
 
 namespace dmis::nn {
@@ -33,9 +30,6 @@ class Conv3d final : public Module {
                   bool training) override;
   std::vector<NDArray> backward(const NDArray& grad_output) override;
   std::vector<Param> params() override;
-  void set_workspace(std::shared_ptr<Workspace> workspace) override {
-    workspace_ = std::move(workspace);
-  }
 
   int64_t in_channels() const { return cin_; }
   int64_t out_channels() const { return cout_; }
@@ -49,7 +43,10 @@ class Conv3d final : public Module {
   NDArray& bias() { return bias_; }
 
  private:
-  Workspace& workspace();
+  /// 1x1x1 stride-1 (the U-Net head): the activation is its own lowering.
+  bool identity_cols() const {
+    return kernel_ == 1 && stride_ == 1 && padding_ == 0;
+  }
 
   int64_t cin_;
   int64_t cout_;
@@ -62,8 +59,7 @@ class Conv3d final : public Module {
   NDArray grad_weight_;  // same shape as weight_
   NDArray grad_bias_;    // same shape as bias_
 
-  NDArray input_;        // retained activation for backward
-  std::shared_ptr<Workspace> workspace_;  // lazily created if not shared
+  NDArray input_;  // activation of the last training forward, for backward
 };
 
 }  // namespace dmis::nn

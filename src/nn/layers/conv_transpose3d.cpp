@@ -5,7 +5,6 @@
 #include "common/check.hpp"
 #include "nn/init.hpp"
 #include "tensor/gemm.hpp"
-#include "tensor/im2col.hpp"
 
 namespace dmis::nn {
 
@@ -27,27 +26,25 @@ ConvTranspose3d::ConvTranspose3d(int64_t in_channels, int64_t out_channels,
   he_init(weight_, fan_in, rng);
 }
 
-Workspace& ConvTranspose3d::workspace() {
-  if (!workspace_) workspace_ = std::make_shared<Workspace>();
-  return *workspace_;
-}
-
 // The lowering views the transposed conv as the adjoint of an ordinary
 // (pad-0) convolution over its *own output*: that convolution's im2col
 // matrix has rows (co, kz, ky, kx) and columns indexed by this layer's
 // *input* positions, so
-//   forward:      Y  += col2im(W^T * X), fused (no column matrix);
-//   input grad:   GI  = W * im2col(GO);
-//   weight grad:  GW += X * im2col(GO)^T.
+//   forward:      Y  += col2im(W^T * X)      (col2im_gemm_3d);
+//   input grad:   GI  = W * im2col(GO)       (im2col_gemm_3d);
+//   weight grad:  GW += X * im2col(GO)^T     (gemm_im2col_t_3d);
+// none of which stores the column matrix.
 NDArray ConvTranspose3d::forward(std::span<const NDArray* const> inputs,
-                                 bool /*training*/) {
+                                 bool training) {
   DMIS_CHECK(inputs.size() == 1, "ConvTranspose3d expects 1 input");
   const NDArray& in = *inputs[0];
   const Shape& s = in.shape();
   DMIS_CHECK(s.rank() == 5, "expects rank-5 input, got " << s.str());
   DMIS_CHECK(s.c() == cin_,
              "expects " << cin_ << " input channels, got " << s.c());
-  input_ = in;
+  // Only a training forward is followed by backward; an inference
+  // forward drops any earlier activation instead of copying this one.
+  input_ = training ? in : NDArray();
 
   const int64_t N = s.n(), D = s.d(), H = s.dim(3), W = s.dim(4);
   const int64_t OD = out_extent(D), OH = out_extent(H), OW = out_extent(W);
@@ -74,6 +71,8 @@ NDArray ConvTranspose3d::forward(std::span<const NDArray* const> inputs,
 }
 
 std::vector<NDArray> ConvTranspose3d::backward(const NDArray& grad_output) {
+  DMIS_CHECK(input_.shape().rank() == 5,
+             "ConvTranspose3d backward needs a training forward first");
   const Shape& is = input_.shape();
   const int64_t N = is.n(), D = is.d(), H = is.dim(3), W = is.dim(4);
   const int64_t OD = out_extent(D), OH = out_extent(H), OW = out_extent(W);
@@ -83,7 +82,6 @@ std::vector<NDArray> ConvTranspose3d::backward(const NDArray& grad_output) {
 
   NDArray grad_input(is);
   const int64_t k = kernel_, st = stride_;
-  const int64_t taps = cout_ * k * k * k;
   const int64_t cols = D * H * W;
   const int64_t out_cs = OD * OH * OW;
   const float* x = input_.data();
@@ -102,18 +100,16 @@ std::vector<NDArray> ConvTranspose3d::backward(const NDArray& grad_output) {
     gb[co] += static_cast<float>(acc);
   }
 
-  std::span<float> col = workspace().scratch(taps * cols);
   for (int64_t n = 0; n < N; ++n) {
     const float* xn = x + n * cin_ * cols;
     const float* gon = go + n * cout_ * out_cs;
     float* gin = gi + n * cin_ * cols;
-    im2col_3d(gon, cout_, OD, OH, OW, k, st, /*pad=*/0, D, H, W, col.data());
-    // GI[Cin, P] = W[Cin, taps] * im2col(GO)[taps, P] (grad_input zeroed).
-    sgemm(false, false, cin_, cols, taps, w, taps, col.data(), cols, gin,
-          cols, /*accumulate=*/false);
+    // GI[Cin, P] = W[Cin, taps] * im2col(GO)[taps, P]
+    im2col_gemm_3d(w, gon, cin_, cout_, OD, OH, OW, k, st, /*pad=*/0, D, H, W,
+                   gin, /*accumulate=*/false);
     // GW[Cin, taps] += X[Cin, P] * im2col(GO)[taps, P]^T
-    sgemm(false, true, cin_, taps, cols, xn, cols, col.data(), cols, gw, taps,
-          /*accumulate=*/true);
+    gemm_im2col_t_3d(xn, gon, cin_, cout_, OD, OH, OW, k, st, /*pad=*/0, D, H,
+                     W, gw, /*accumulate=*/true);
   }
   std::vector<NDArray> grads;
   grads.push_back(std::move(grad_input));

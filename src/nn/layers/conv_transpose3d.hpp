@@ -6,17 +6,14 @@
 // Output spatial extent is (in - 1) * stride + kernel.
 //
 // The transposed conv is the adjoint of a conv over its own output, so
-// forward is the fused GEMM + col2im kernel (no scratch) and backward is
-// im2col of the output gradient + two SGEMMs, with the column buffer
-// from the shared Workspace. The
-// direct scatter/gather reference these passes are differentially
-// tested against lives in tests/nn/conv_reference.hpp.
+// forward is the fused GEMM + col2im kernel and backward the two
+// implicit-GEMM kernels over the output gradient's im2col lowering
+// (tensor/gemm.hpp); no pass stores a column matrix. The direct
+// scatter/gather reference these passes are differentially tested
+// against lives in tests/nn/conv_reference.hpp.
 #pragma once
 
-#include <memory>
-
 #include "nn/module.hpp"
-#include "nn/workspace.hpp"
 #include "tensor/rng.hpp"
 
 namespace dmis::nn {
@@ -31,17 +28,12 @@ class ConvTranspose3d final : public Module {
                   bool training) override;
   std::vector<NDArray> backward(const NDArray& grad_output) override;
   std::vector<Param> params() override;
-  void set_workspace(std::shared_ptr<Workspace> workspace) override {
-    workspace_ = std::move(workspace);
-  }
 
   int64_t out_extent(int64_t in_extent) const {
     return (in_extent - 1) * stride_ + kernel_;
   }
 
  private:
-  Workspace& workspace();
-
   int64_t cin_;
   int64_t cout_;
   int kernel_;
@@ -51,8 +43,7 @@ class ConvTranspose3d final : public Module {
   NDArray bias_;         // [Cout]
   NDArray grad_weight_;
   NDArray grad_bias_;
-  NDArray input_;
-  std::shared_ptr<Workspace> workspace_;  // lazily created if not shared
+  NDArray input_;  // activation of the last training forward, for backward
 };
 
 }  // namespace dmis::nn

@@ -9,7 +9,6 @@
 // multi-consumer gradient accumulation (U-Net skip connections).
 #pragma once
 
-#include <memory>
 #include <span>
 #include <string>
 #include <vector>
@@ -17,8 +16,6 @@
 #include "tensor/ndarray.hpp"
 
 namespace dmis::nn {
-
-class Workspace;
 
 /// Non-owning reference to one learnable parameter tensor and its gradient.
 /// The pointed-to tensors live in (and are owned by) the Module.
@@ -56,11 +53,6 @@ class Module {
 
   /// Number of inputs the layer consumes (1 for most layers).
   virtual int arity() const { return 1; }
-
-  /// Shares kernel scratch memory with the layer. Graph::add() calls this
-  /// so all layers of one (sequentially executed) graph reuse a single
-  /// arena; layers without scratch needs ignore it.
-  virtual void set_workspace(std::shared_ptr<Workspace> /*workspace*/) {}
 
   /// Convenience for single-input layers.
   NDArray forward1(const NDArray& input, bool training) {

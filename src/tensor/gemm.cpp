@@ -17,104 +17,163 @@ namespace {
 constexpr int64_t MR = 6;
 constexpr int64_t NR = 16;
 
-// Cache blocking: an MC x KC panel of A (L2-resident) meets a KC x NC
-// panel of B streamed through NR-wide micro-panels.
+// Cache blocking: an MC x KC block of A (L2-resident) meets KC x NR
+// micro-panels of B, each packed (L1-resident) right before its use. A
+// work item covers at most MC rows and NC columns of C.
 constexpr int64_t MC = 96;
 constexpr int64_t KC = 256;
 constexpr int64_t NC = 2048;
 
-static_assert(MC % MR == 0 && NC % NR == 0);
+// A product is split over threads only in shares of at least this many
+// multiply-adds (tens of microseconds); smaller ones, such as the 1x1x1
+// head, run inline, where a dispatch would cost more than it saves.
+constexpr int64_t kMinItemMacs = int64_t{1} << 18;
 
-inline float elem(const float* mat, int64_t ld, bool trans, int64_t row,
-                  int64_t col) {
-  return trans ? mat[col * ld + row] : mat[row * ld + col];
-}
+static_assert(MC % MR == 0 && MC % 12 == 0 && NC % NR == 0);
 
-/// Packs an mc x kc block of op(A) (origin i0, p0) into MR-row panels,
-/// panel layout [kk][r], zero-padding the ragged last panel.
-void pack_a(const float* a, int64_t lda, bool trans, int64_t i0, int64_t p0,
-            int64_t mc, int64_t kc, float* ap) {
-  for (int64_t i = 0; i < mc; i += MR) {
-    const int64_t mr = std::min(MR, mc - i);
-    for (int64_t kk = 0; kk < kc; ++kk) {
-      float* dst = ap + kk * MR;
-      for (int64_t r = 0; r < mr; ++r) {
-        dst[r] = elem(a, lda, trans, i0 + i + r, p0 + kk);
-      }
-      for (int64_t r = mr; r < MR; ++r) dst[r] = 0.0F;
-    }
-    ap += kc * MR;
-  }
-}
-
-/// Packs a kc x nc block of op(B) (origin p0, j0) into NR-column panels,
-/// panel layout [kk][c], zero-padding the ragged last panel.
-void pack_b(const float* b, int64_t ldb, bool trans, int64_t p0, int64_t j0,
-            int64_t kc, int64_t nc, float* bp) {
-  for (int64_t j = 0; j < nc; j += NR) {
-    const int64_t nr = std::min(NR, nc - j);
-    if (!trans && nr == NR) {
-      const float* src = b + p0 * ldb + j0 + j;
-      for (int64_t kk = 0; kk < kc; ++kk) {
-        std::memcpy(bp + kk * NR, src + kk * ldb, NR * sizeof(float));
-      }
-    } else {
-      for (int64_t kk = 0; kk < kc; ++kk) {
-        float* dst = bp + kk * NR;
-        for (int64_t c = 0; c < nr; ++c) {
-          dst[c] = elem(b, ldb, trans, p0 + kk, j0 + j + c);
-        }
-        for (int64_t c = nr; c < NR; ++c) dst[c] = 0.0F;
-      }
-    }
-    bp += kc * NR;
-  }
-}
+// Stands in for the A rows past the end of a ragged row tile.
+alignas(64) constexpr float kZeros[KC] = {};
 
 // 8-wide float vector (lowered to whatever the target ISA offers);
-// aligned(4) keeps loads/stores legal on unaligned panel addresses.
+// aligned(4) keeps loads/stores legal on unaligned addresses.
 using v8sf = float __attribute__((vector_size(32), aligned(4)));
 
 inline v8sf splat(float x) { return v8sf{x, x, x, x, x, x, x, x}; }
 
-/// acc[MR][NR] = Apanel(kc x MR) * Bpanel(kc x NR).
-///
-/// The 6x16 tile lives in 12 named vector accumulators so the compiler
-/// register-allocates it across the k loop — the array-indexed form
-/// round-trips the tile through the stack every iteration and runs ~7x
-/// slower.
-void micro_kernel(int64_t kc, const float* ap, const float* bp, float* acc) {
-  v8sf c00{}, c01{}, c10{}, c11{}, c20{}, c21{};
-  v8sf c30{}, c31{}, c40{}, c41{}, c50{}, c51{};
+/// acc[r][c] = sum over kk < kc of a[r][kk] * b[kk][c], for the TR rows
+/// `a` and the kc rows `b` of TN floats each: a TR x TN tile of C held in
+/// TR * TN / 8 vector accumulators (the loops over them unroll fully, so
+/// the tile stays in registers across the k loop).
+template <int64_t TR, int64_t TN>
+void micro_kernel(int64_t kc, const float* const* a, const float* const* b,
+                  float* acc) {
+  constexpr int64_t V = TN / 8;
+  v8sf c[TR][V];
+  const float* ar[TR];
+#pragma GCC unroll 16
+  for (int64_t r = 0; r < TR; ++r) {
+    ar[r] = a[r];
+#pragma GCC unroll 2
+    for (int64_t v = 0; v < V; ++v) c[r][v] = v8sf{};
+  }
   for (int64_t kk = 0; kk < kc; ++kk) {
-    const float* ak = ap + kk * MR;
-    const v8sf b0 = *reinterpret_cast<const v8sf*>(bp + kk * NR);
-    const v8sf b1 = *reinterpret_cast<const v8sf*>(bp + kk * NR + 8);
-    v8sf a;
-    a = splat(ak[0]); c00 += a * b0; c01 += a * b1;
-    a = splat(ak[1]); c10 += a * b0; c11 += a * b1;
-    a = splat(ak[2]); c20 += a * b0; c21 += a * b1;
-    a = splat(ak[3]); c30 += a * b0; c31 += a * b1;
-    a = splat(ak[4]); c40 += a * b0; c41 += a * b1;
-    a = splat(ak[5]); c50 += a * b0; c51 += a * b1;
+    v8sf bv[V];
+#pragma GCC unroll 2
+    for (int64_t v = 0; v < V; ++v) {
+      bv[v] = *reinterpret_cast<const v8sf*>(b[kk] + 8 * v);
+    }
+#pragma GCC unroll 16
+    for (int64_t r = 0; r < TR; ++r) {
+      const v8sf x = splat(ar[r][kk]);
+#pragma GCC unroll 2
+      for (int64_t v = 0; v < V; ++v) c[r][v] += x * bv[v];
+    }
   }
   v8sf* out = reinterpret_cast<v8sf*>(acc);
-  out[0] = c00; out[1] = c01; out[2] = c10; out[3] = c11;
-  out[4] = c20; out[5] = c21; out[6] = c30; out[7] = c31;
-  out[8] = c40; out[9] = c41; out[10] = c50; out[11] = c51;
+#pragma GCC unroll 16
+  for (int64_t r = 0; r < TR; ++r) {
+#pragma GCC unroll 2
+    for (int64_t v = 0; v < V; ++v) out[r * V + v] = c[r][v];
+  }
 }
 
-/// Writes (or accumulates) the valid mr x nr corner of the tile into C.
-void store_tile(const float* acc, float* c, int64_t ldc, int64_t mr,
-                int64_t nr, bool overwrite) {
+/// Writes (or accumulates) the valid mr x nr corner of a tile with TN
+/// columns into C at row i, column j — or, with trans_c, into C^T
+/// (C[j + q][i + r]).
+template <int64_t TN>
+void store_tile(const float* acc, float* c, int64_t ldc, bool trans_c,
+                int64_t i, int64_t j, int64_t mr, int64_t nr,
+                bool overwrite) {
   for (int64_t r = 0; r < mr; ++r) {
-    float* crow = c + r * ldc;
-    const float* arow = acc + r * NR;
-    if (overwrite) {
-      for (int64_t j = 0; j < nr; ++j) crow[j] = arow[j];
-    } else {
-      for (int64_t j = 0; j < nr; ++j) crow[j] += arow[j];
+    const float* arow = acc + r * TN;
+    if (trans_c) {
+      float* ccol = c + j * ldc + i + r;
+      for (int64_t q = 0; q < nr; ++q) {
+        ccol[q * ldc] = overwrite ? arow[q] : ccol[q * ldc] + arow[q];
+      }
+      continue;
     }
+    float* crow = c + (i + r) * ldc + j;
+    if (overwrite) {
+      for (int64_t q = 0; q < nr; ++q) crow[q] = arow[q];
+    } else {
+      for (int64_t q = 0; q < nr; ++q) crow[q] += arow[q];
+    }
+  }
+}
+
+/// The loop nest of every product here: C = A * B ([m, n], or stored
+/// transposed as [n, m] with trans_c), overwritten or, with `accumulate`,
+/// added to. Neither operand need be stored as a matrix:
+///   pack_a(i0, p0, mc, kc, buf, rows) points rows[r] (r < mc) at the kc
+///     entries A[i0 + r][p0 ..], packing them into `buf` (room for mc x
+///     kc floats) where they are not stored contiguously;
+///   pack_b(p0, j0, kc, nr, buf, rows) points rows[kk] (kk < kc) at TN
+///     floats starting with B[p0 + kk][j0 .. j0 + nr), packing into `buf`
+///     (room for KC x NR floats) where needed; lanes past nr are ignored.
+/// The register tile is TR x TN: MR x NR by default, 12 x 8 for products
+/// at most 8 columns wide, which would leave most of a 16-lane tile idle.
+///
+/// Work items are (row block, column chunk) pairs, with the longer side
+/// of C cut so every core of the caller's share gets work even when the
+/// other side is one block — convs have Cout <= 96 but thousands of
+/// voxels or taps — unless the product is too small to be worth it. Each
+/// C element sees one FMA chain per KC block, the blocks added in order,
+/// whatever the split, so results are bitwise identical for any thread
+/// count.
+template <int64_t TR = MR, int64_t TN = NR, class PackA, class PackB>
+void blocked_gemm(int64_t m, int64_t n, int64_t k, const PackA& pack_a,
+                  const PackB& pack_b, float* c, int64_t ldc, bool trans_c,
+                  bool accumulate, ThreadPool& tp) {
+  const int64_t units = std::clamp<int64_t>(
+      m * n * k / kMinItemMacs, 1, std::min(tp.size(), intra_op_share()));
+  int64_t mch = MC;
+  int64_t nch = NC;
+  if (n >= m) {
+    nch = std::min(NC, ((n + units - 1) / units + TN - 1) / TN * TN);
+  } else {
+    mch = std::min(MC, ((m + units - 1) / units + TR - 1) / TR * TR);
+  }
+  const int64_t mblocks = (m + mch - 1) / mch;
+  const int64_t nchunks = (n + nch - 1) / nch;
+  const auto run = [&](int64_t lo, int64_t hi) {
+    thread_local std::vector<float> abuf;
+    thread_local std::vector<const float*> arows;
+    float bbuf[KC * NR];
+    const float* brows[KC];
+    float acc[TR * TN];
+    for (int64_t item = lo; item < hi; ++item) {
+      const int64_t i0 = item % mblocks * mch;
+      const int64_t j0 = item / mblocks * nch;
+      const int64_t mc = std::min(mch, m - i0);
+      const int64_t nc = std::min(nch, n - j0);
+      const int64_t mc_pad = (mc + TR - 1) / TR * TR;
+      if (static_cast<int64_t>(abuf.size()) < mc * KC) {
+        abuf.resize(static_cast<size_t>(mc * KC));
+      }
+      arows.resize(static_cast<size_t>(mc_pad));
+      std::fill(arows.begin() + mc, arows.end(), kZeros);
+      for (int64_t p0 = 0; p0 < k; p0 += KC) {
+        const int64_t kc = std::min(KC, k - p0);
+        pack_a(i0, p0, mc, kc, abuf.data(), arows.data());
+        // First k-block overwrites C unless accumulating; later blocks add.
+        const bool overwrite = (p0 == 0) && !accumulate;
+        for (int64_t jr = 0; jr < nc; jr += TN) {
+          const int64_t nr = std::min(TN, nc - jr);
+          pack_b(p0, j0 + jr, kc, nr, bbuf, brows);
+          for (int64_t ir = 0; ir < mc; ir += TR) {
+            micro_kernel<TR, TN>(kc, arows.data() + ir, brows, acc);
+            store_tile<TN>(acc, c, ldc, trans_c, i0 + ir, j0 + jr,
+                           std::min(TR, mc - ir), nr, overwrite);
+          }
+        }
+      }
+    }
+  };
+  if (units == 1) {
+    run(0, mblocks * nchunks);
+  } else {
+    parallel_for(tp, 0, mblocks * nchunks, run);
   }
 }
 
@@ -135,51 +194,249 @@ void sgemm(bool trans_a, bool trans_b, int64_t m, int64_t n, int64_t k,
   }
   DMIS_CHECK(lda >= (trans_a ? m : k), "sgemm: lda=" << lda << " too small");
   DMIS_CHECK(ldb >= (trans_b ? k : n), "sgemm: ldb=" << ldb << " too small");
-  ThreadPool& tp = (pool != nullptr) ? *pool : ThreadPool::global();
-
-  // The B panel is packed once per (j0, p0) block by the calling thread
-  // and read (only) inside the parallel region.
-  thread_local std::vector<float> bpack;
-
-  for (int64_t j0 = 0; j0 < n; j0 += NC) {
-    const int64_t nc = std::min(NC, n - j0);
-    const int64_t nc_pad = (nc + NR - 1) / NR * NR;
-    for (int64_t p0 = 0; p0 < k; p0 += KC) {
-      const int64_t kc = std::min(KC, k - p0);
-      if (static_cast<int64_t>(bpack.size()) < nc_pad * kc) {
-        bpack.resize(static_cast<size_t>(nc_pad * kc));
-      }
-      pack_b(b, ldb, trans_b, p0, j0, kc, nc, bpack.data());
-      const float* bp = bpack.data();
-
-      // First k-block overwrites C unless accumulating; later blocks add.
-      const bool overwrite = (p0 == 0) && !accumulate;
-      const int64_t num_mblocks = (m + MC - 1) / MC;
-      parallel_for(tp, 0, num_mblocks, [&](int64_t lo, int64_t hi) {
-        thread_local std::vector<float> apack;
-        for (int64_t blk = lo; blk < hi; ++blk) {
-          const int64_t i0 = blk * MC;
-          const int64_t mc = std::min(MC, m - i0);
-          const int64_t mc_pad = (mc + MR - 1) / MR * MR;
-          if (static_cast<int64_t>(apack.size()) < mc_pad * kc) {
-            apack.resize(static_cast<size_t>(mc_pad * kc));
-          }
-          pack_a(a, lda, trans_a, i0, p0, mc, kc, apack.data());
-          float acc[MR * NR];
-          for (int64_t jr = 0; jr < nc; jr += NR) {
-            const float* bpanel = bp + (jr / NR) * kc * NR;
-            const int64_t nr = std::min(NR, nc - jr);
-            for (int64_t ir = 0; ir < mc; ir += MR) {
-              const int64_t mr = std::min(MR, mc - ir);
-              micro_kernel(kc, apack.data() + (ir / MR) * kc * MR, bpanel,
-                           acc);
-              store_tile(acc, c + (i0 + ir) * ldc + j0 + jr, ldc, mr, nr,
-                         overwrite);
-            }
-          }
-        }
-      });
+  // Rows of A are read in place; A^T and every B micro-panel are packed.
+  const auto pack_a = [&](int64_t i0, int64_t p0, int64_t mc, int64_t kc,
+                          float* buf, const float** rows) {
+    for (int64_t r = 0; r < mc; ++r) {
+      rows[r] = trans_a ? buf + r * kc : a + (i0 + r) * lda + p0;
     }
+    if (!trans_a) return;
+    for (int64_t kk = 0; kk < kc; ++kk) {
+      const float* src = a + (p0 + kk) * lda + i0;
+      for (int64_t r = 0; r < mc; ++r) buf[r * kc + kk] = src[r];
+    }
+  };
+  const auto pack_b = [&](int64_t p0, int64_t j0, int64_t kc, int64_t nr,
+                          float* buf, const float** rows) {
+    for (int64_t kk = 0; kk < kc; ++kk) {
+      float* dst = buf + kk * NR;
+      rows[kk] = dst;
+      if (!trans_b && nr == NR) {
+        std::memcpy(dst, b + (p0 + kk) * ldb + j0, NR * sizeof(float));
+        continue;
+      }
+      for (int64_t q = 0; q < nr; ++q) {
+        dst[q] = trans_b ? b[(j0 + q) * ldb + p0 + kk]
+                         : b[(p0 + kk) * ldb + j0 + q];
+      }
+      std::fill(dst + nr, dst + NR, 0.0F);
+    }
+  };
+  blocked_gemm(m, n, k, pack_a, pack_b, c, ldc, /*trans_c=*/false,
+               accumulate, (pool != nullptr) ? *pool : ThreadPool::global());
+}
+
+namespace {
+
+/// Checks a conv geometry: `im` (channels, d, h, w) under kernel, stride
+/// and pad has the output grid od x oh x ow, and `m` rows meet it.
+void check_conv_geometry(const char* who, int64_t m, int64_t channels,
+                         int64_t d, int64_t h, int64_t w, int64_t kernel,
+                         int64_t stride, int64_t pad, int64_t od, int64_t oh,
+                         int64_t ow) {
+  DMIS_CHECK(m > 0 && channels > 0 && d > 0 && h > 0 && w > 0,
+             who << ": bad sizes m=" << m << " image " << channels << "x" << d
+                 << "x" << h << "x" << w);
+  DMIS_CHECK(kernel >= 1 && stride >= 1 && pad >= 0,
+             who << ": bad geometry k=" << kernel << " s=" << stride
+                 << " p=" << pad);
+  DMIS_CHECK(od == (d + 2 * pad - kernel) / stride + 1 &&
+                 oh == (h + 2 * pad - kernel) / stride + 1 &&
+                 ow == (w + 2 * pad - kernel) / stride + 1 && od > 0 &&
+                 oh > 0 && ow > 0,
+             who << ": extents " << od << "x" << oh << "x" << ow
+                 << " inconsistent with geometry");
+}
+
+// Implicit GEMM. The lowered matrix im2col(X) has a row per tap
+// (c, kz, ky, kx) and a column per output voxel (z, y, x); its entry is
+// the image voxel the tap reads at that output, or 0 in the padding. The
+// packers below hand blocked_gemm stretches of it straight from the
+// image — with its padding written out, so every tap reads inside it —
+// copying only where a stretch is not contiguous there. blocked_gemm
+// thus multiplies exactly the numbers sgemm would read from a stored
+// column matrix, in the same order.
+
+/// A conv input under stride s, held as a (channels, pd, ph, pw) image
+/// whose border is the conv's padding, with output rows oh x ow: tap
+/// t = (c, kz, ky, kx) at output voxel (z, y, x) reads
+/// im[tap_off[t] + ((z*ph + y)*pw + x) * s], with
+/// tap_off[t] = ((c*pd + kz)*ph + ky)*pw + kx.
+struct ConvInput {
+  const float* im;
+  const int64_t* tap_off;
+  int64_t s, oh, ow, ph, pw;
+};
+
+/// `im` (channels, d, h, w) as a ConvInput: itself when pad is 0, else a
+/// zero-bordered copy. The copy and the tap offsets live in thread_local
+/// grow-only buffers of the calling thread, valid until its next call.
+ConvInput conv_input(const float* im, int64_t channels, int64_t d, int64_t h,
+                     int64_t w, int64_t k, int64_t s, int64_t p, int64_t oh,
+                     int64_t ow) {
+  const int64_t pd = d + 2 * p, ph = h + 2 * p, pw = w + 2 * p;
+  thread_local std::vector<int64_t> tap_off;
+  tap_off.resize(static_cast<size_t>(channels * k * k * k));
+  int64_t* off = tap_off.data();
+  for (int64_t c = 0; c < channels; ++c) {
+    for (int64_t kz = 0; kz < k; ++kz) {
+      for (int64_t ky = 0; ky < k; ++ky) {
+        for (int64_t kx = 0; kx < k; ++kx) {
+          *off++ = ((c * pd + kz) * ph + ky) * pw + kx;
+        }
+      }
+    }
+  }
+  const ConvInput g{im, tap_off.data(), s, oh, ow, ph, pw};
+  if (p == 0) return g;
+  thread_local std::vector<float> padded;
+  padded.assign(static_cast<size_t>(channels * pd * ph * pw), 0.0F);
+  for (int64_t c = 0; c < channels; ++c) {
+    for (int64_t z = 0; z < d; ++z) {
+      for (int64_t y = 0; y < h; ++y) {
+        std::memcpy(padded.data() + ((c * pd + z + p) * ph + y + p) * pw + p,
+                    im + ((c * d + z) * h + y) * w,
+                    static_cast<size_t>(w) * sizeof(float));
+      }
+    }
+  }
+  return {padded.data(), tap_off.data(), s, oh, ow, ph, pw};
+}
+
+/// Output voxels (z, y, x0 .. x0 + len) along one x row, which are
+/// lowered columns first .. first + len of a packed range; voxel i of the
+/// run reads im[tap_off[t] + off + i*s] for tap t.
+struct Run {
+  int64_t off, len, first;
+};
+
+/// Splits the lowered columns [j0, j0 + n) into row runs; returns how
+/// many it wrote to `runs` (at most n).
+int64_t row_runs(const ConvInput& g, int64_t j0, int64_t n, Run* runs) {
+  int64_t x = j0 % g.ow, y = j0 / g.ow % g.oh, z = j0 / (g.ow * g.oh);
+  int64_t count = 0;
+  for (int64_t i = 0; i < n;) {
+    const int64_t len = std::min(n - i, g.ow - x);
+    runs[count++] = Run{((z * g.ph + y) * g.pw + x) * g.s, len, i};
+    i += len;
+    x = 0;
+    if (++y == g.oh) {
+      y = 0;
+      ++z;
+    }
+  }
+  return count;
+}
+
+/// Copies tap `t`'s entries over `runs` to dst[runs[i].first ..].
+void gather_runs(const ConvInput& g, int64_t t, const Run* runs,
+                 int64_t nruns, float* dst) {
+  for (int64_t i = 0; i < nruns; ++i) {
+    const float* src = g.im + g.tap_off[t] + runs[i].off;
+    float* out = dst + runs[i].first;
+    if (g.s == 1) {
+      std::memcpy(out, src, static_cast<size_t>(runs[i].len) * sizeof(float));
+    } else {
+      for (int64_t v = 0; v < runs[i].len; ++v) out[v] = src[v * g.s];
+    }
+  }
+}
+
+/// pack_b over im2col(X): row kk is tap p0 + kk at voxels j0 .. j0 + nr,
+/// read in place when those voxels are one stride-1 run of NR, else
+/// gathered into `buf`.
+void pack_im2col(const ConvInput& g, int64_t p0, int64_t j0, int64_t kc,
+                 int64_t nr, float* buf, const float** rows) {
+  Run runs[NR];
+  const int64_t nruns = row_runs(g, j0, nr, runs);
+  if (nruns == 1 && nr == NR && g.s == 1) {
+    const float* base = g.im + runs[0].off;
+    for (int64_t kk = 0; kk < kc; ++kk) rows[kk] = base + g.tap_off[p0 + kk];
+    return;
+  }
+  for (int64_t kk = 0; kk < kc; ++kk) {
+    float* dst = buf + kk * NR;
+    gather_runs(g, p0 + kk, runs, nruns, dst);
+    std::fill(dst + nr, dst + NR, 0.0F);
+    rows[kk] = dst;
+  }
+}
+
+/// pack_a over im2col(X): row r is tap i0 + r at voxels p0 .. p0 + kc,
+/// gathered into `buf`.
+void pack_im2col_rows(const ConvInput& g, int64_t i0, int64_t p0,
+                      int64_t mc, int64_t kc, float* buf,
+                      const float** rows) {
+  Run runs[KC];
+  const int64_t nruns = row_runs(g, p0, kc, runs);
+  for (int64_t r = 0; r < mc; ++r) {
+    gather_runs(g, i0 + r, runs, nruns, buf + r * kc);
+    rows[r] = buf + r * kc;
+  }
+}
+
+}  // namespace
+
+void im2col_gemm_3d(const float* a, const float* im, int64_t m,
+                    int64_t channels, int64_t d, int64_t h, int64_t w,
+                    int64_t kernel, int64_t stride, int64_t pad, int64_t od,
+                    int64_t oh, int64_t ow, float* c, bool accumulate,
+                    ThreadPool* pool) {
+  check_conv_geometry("im2col_gemm_3d", m, channels, d, h, w, kernel, stride,
+                      pad, od, oh, ow);
+  const ConvInput g =
+      conv_input(im, channels, d, h, w, kernel, stride, pad, oh, ow);
+  const int64_t taps = channels * kernel * kernel * kernel;
+  const int64_t cols = od * oh * ow;
+  const auto pack_a = [&](int64_t i0, int64_t p0, int64_t mc, int64_t /*kc*/,
+                          float* /*buf*/, const float** rows) {
+    for (int64_t r = 0; r < mc; ++r) rows[r] = a + (i0 + r) * taps + p0;
+  };
+  const auto pack_b = [&](int64_t p0, int64_t j0, int64_t kc, int64_t nr,
+                          float* buf, const float** rows) {
+    pack_im2col(g, p0, j0, kc, nr, buf, rows);
+  };
+  blocked_gemm(m, cols, taps, pack_a, pack_b, c, cols, /*trans_c=*/false,
+               accumulate, (pool != nullptr) ? *pool : ThreadPool::global());
+}
+
+void gemm_im2col_t_3d(const float* a, const float* im, int64_t m,
+                      int64_t channels, int64_t d, int64_t h, int64_t w,
+                      int64_t kernel, int64_t stride, int64_t pad, int64_t od,
+                      int64_t oh, int64_t ow, float* c, bool accumulate,
+                      ThreadPool* pool) {
+  check_conv_geometry("gemm_im2col_t_3d", m, channels, d, h, w, kernel,
+                      stride, pad, od, oh, ow);
+  const ConvInput g =
+      conv_input(im, channels, d, h, w, kernel, stride, pad, oh, ow);
+  const int64_t taps = channels * kernel * kernel * kernel;
+  const int64_t cols = od * oh * ow;
+  // Computed as C^T = im2col(X) * A^T: the lowered rows are then read
+  // along the voxels, as the image stores them, and the tile's lanes span
+  // the m rows of A. Each C element keeps its FMA chain over the voxels
+  // (a product's two factors commute exactly).
+  const auto pack_a = [&](int64_t i0, int64_t p0, int64_t mc, int64_t kc,
+                          float* buf, const float** rows) {
+    pack_im2col_rows(g, i0, p0, mc, kc, buf, rows);
+  };
+  // A^T's rows are packed to the tile width.
+  const int64_t width = (m <= 8) ? 8 : NR;
+  const auto pack_b = [&](int64_t p0, int64_t j0, int64_t kc, int64_t nr,
+                          float* buf, const float** rows) {
+    for (int64_t kk = 0; kk < kc; ++kk) {
+      float* dst = buf + kk * width;
+      for (int64_t q = 0; q < nr; ++q) dst[q] = a[(j0 + q) * cols + p0 + kk];
+      std::fill(dst + nr, dst + width, 0.0F);
+      rows[kk] = dst;
+    }
+  };
+  ThreadPool& tp = (pool != nullptr) ? *pool : ThreadPool::global();
+  if (width == 8) {
+    blocked_gemm<12, 8>(taps, m, cols, pack_a, pack_b, c, taps,
+                        /*trans_c=*/true, accumulate, tp);
+  } else {
+    blocked_gemm(taps, m, cols, pack_a, pack_b, c, taps, /*trans_c=*/true,
+                 accumulate, tp);
   }
 }
 
@@ -380,18 +637,8 @@ void col2im_gemm_3d(const float* wt, const float* g, int64_t reduced,
                     int64_t channels, int64_t d, int64_t h, int64_t w,
                     int64_t kernel, int64_t stride, int64_t pad, int64_t od,
                     int64_t oh, int64_t ow, float* im, ThreadPool* pool) {
-  DMIS_CHECK(reduced > 0 && channels > 0 && d > 0 && h > 0 && w > 0,
-             "col2im_gemm_3d: bad sizes reduced=" << reduced << " image "
-                 << channels << "x" << d << "x" << h << "x" << w);
-  DMIS_CHECK(kernel >= 1 && stride >= 1 && pad >= 0,
-             "col2im_gemm_3d: bad geometry k=" << kernel << " s=" << stride
-                                               << " p=" << pad);
-  DMIS_CHECK(od == (d + 2 * pad - kernel) / stride + 1 &&
-                 oh == (h + 2 * pad - kernel) / stride + 1 &&
-                 ow == (w + 2 * pad - kernel) / stride + 1 && od > 0 &&
-                 oh > 0 && ow > 0,
-             "col2im_gemm_3d: extents " << od << "x" << oh << "x" << ow
-                                        << " inconsistent with geometry");
+  check_conv_geometry("col2im_gemm_3d", reduced, channels, d, h, w, kernel,
+                      stride, pad, od, oh, ow);
   const int64_t k3 = kernel * kernel * kernel;
   const Col2imGemm a{.wt = wt, .g = g, .im = im, .reduced = reduced,
                      .channels = channels, .d = d, .h = h, .w = w,

@@ -1,20 +1,18 @@
-// Layer-level bit-for-bit parity of the fused GEMM + col2im kernel: the
-// Conv3d input gradient and the ConvTranspose3d forward must equal the
-// unfused sgemm + col2im_3d composition they replaced, on the U-Net layer
+// Layer-level bit-for-bit parity of the conv kernels: every pass of
+// Conv3d and ConvTranspose3d must equal the stored-lowering composition
+// it replaced — sgemm + col2im_3d for the Conv3d input gradient and the
+// ConvTranspose3d forward, im2col_3d + sgemm for the Conv3d forward and
+// weight gradient and the ConvTranspose3d backward — on the U-Net layer
 // shapes of the train_fullvol and train_widepatch benchmark workloads.
-// Also pins the scratch contract: the fused passes take nothing from the
-// Workspace, which now serves only the im2col passes.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstring>
-#include <memory>
 #include <string>
 
 #include "../tensor/col2im_reference.hpp"
 #include "nn/layers/conv3d.hpp"
 #include "nn/layers/conv_transpose3d.hpp"
-#include "nn/workspace.hpp"
 
 namespace dmis::nn {
 namespace {
@@ -88,17 +86,51 @@ TEST_P(Col2imGemmConv3d, InputGradientMatchesUnfusedPairBitwise) {
   expect_bitwise_equal(got, want);
 }
 
-TEST_P(Col2imGemmConv3d, BackwardGrowsWorkspaceNoFurtherThanForward) {
+TEST_P(Col2imGemmConv3d, ForwardMatchesIm2colSgemmBitwise) {
   const LayerShape s = GetParam();
+  const int64_t n_batch = 2;
   Rng rng(7);
   Conv3d conv(s.cin, s.cout, 3, 1, 1, rng);
-  auto ws = std::make_shared<Workspace>();
-  conv.set_workspace(ws);
-  const NDArray in = random_array(Shape{1, s.cin, s.d, s.h, s.w}, 8);
-  const NDArray out = conv.forward1(in, true);
-  const int64_t after_forward = ws->capacity();
-  conv.backward(random_array(out.shape(), 9));
-  EXPECT_EQ(ws->capacity(), after_forward);
+  conv.bias() = random_array(conv.bias().shape(), 10);
+  const NDArray in = random_array(Shape{n_batch, s.cin, s.d, s.h, s.w}, 8);
+  const NDArray got = conv.forward1(in, true);
+
+  NDArray want(got.shape());
+  const int64_t vol = s.d * s.h * s.w;
+  for (int64_t n = 0; n < n_batch; ++n) {
+    float* yn = want.data() + n * s.cout * vol;
+    for (int64_t co = 0; co < s.cout; ++co) {
+      std::fill_n(yn + co * vol, vol, conv.bias()[co]);
+    }
+    dmis::testing::im2col_gemm_oracle(conv.weight().data(),
+                                      in.data() + n * s.cin * vol, s.cout,
+                                      s.cin, s.d, s.h, s.w, 3, 1, 1, s.d, s.h,
+                                      s.w, yn, /*accumulate=*/true);
+  }
+  expect_bitwise_equal(got, want);
+}
+
+TEST_P(Col2imGemmConv3d, WeightGradientMatchesIm2colSgemmBitwise) {
+  const LayerShape s = GetParam();
+  const int64_t n_batch = 2;
+  Rng rng(7);
+  Conv3d conv(s.cin, s.cout, 3, 1, 1, rng);
+  NDArray& grad_weight = *conv.params()[0].grad;
+  // Backward accumulates into whatever the gradient holds.
+  grad_weight = random_array(grad_weight.shape(), 11);
+  NDArray want = grad_weight;
+  const NDArray in = random_array(Shape{n_batch, s.cin, s.d, s.h, s.w}, 8);
+  const NDArray grad = random_array(conv.forward1(in, true).shape(), 9);
+  conv.backward(grad);
+
+  const int64_t vol = s.d * s.h * s.w;
+  for (int64_t n = 0; n < n_batch; ++n) {
+    dmis::testing::gemm_im2col_t_oracle(
+        grad.data() + n * s.cout * vol, in.data() + n * s.cin * vol, s.cout,
+        s.cin, s.d, s.h, s.w, 3, 1, 1, s.d, s.h, s.w, want.data(),
+        /*accumulate=*/true);
+  }
+  expect_bitwise_equal(grad_weight, want);
 }
 
 INSTANTIATE_TEST_SUITE_P(UNetShapes, Col2imGemmConv3d,
@@ -132,14 +164,34 @@ TEST_P(Col2imGemmConvTranspose3d, ForwardMatchesUnfusedPairBitwise) {
   expect_bitwise_equal(got, want);
 }
 
-TEST_P(Col2imGemmConvTranspose3d, ForwardTakesNoWorkspace) {
+TEST_P(Col2imGemmConvTranspose3d, BackwardMatchesIm2colSgemmBitwise) {
   const LayerShape s = GetParam();
+  const int64_t n_batch = 2;
   Rng rng(7);
   ConvTranspose3d up(s.cin, s.cout, 2, 2, rng);
-  auto ws = std::make_shared<Workspace>();
-  up.set_workspace(ws);
-  up.forward1(random_array(Shape{1, s.cin, s.d, s.h, s.w}, 8), true);
-  EXPECT_EQ(ws->capacity(), 0);
+  const NDArray& weight = *up.params()[0].value;
+  NDArray& grad_weight = *up.params()[0].grad;
+  grad_weight = random_array(grad_weight.shape(), 11);
+  NDArray want_gw = grad_weight;
+  const NDArray in = random_array(Shape{n_batch, s.cin, s.d, s.h, s.w}, 8);
+  const NDArray grad = random_array(up.forward1(in, true).shape(), 9);
+  const NDArray got_gi = up.backward(grad).front();
+
+  NDArray want_gi(in.shape());
+  const int64_t vol = s.d * s.h * s.w, out_vol = 8 * vol;
+  for (int64_t n = 0; n < n_batch; ++n) {
+    const float* gn = grad.data() + n * s.cout * out_vol;
+    dmis::testing::im2col_gemm_oracle(
+        weight.data(), gn, s.cin, s.cout, 2 * s.d, 2 * s.h, 2 * s.w, 2, 2, 0,
+        s.d, s.h, s.w, want_gi.data() + n * s.cin * vol,
+        /*accumulate=*/false);
+    dmis::testing::gemm_im2col_t_oracle(
+        in.data() + n * s.cin * vol, gn, s.cin, s.cout, 2 * s.d, 2 * s.h,
+        2 * s.w, 2, 2, 0, s.d, s.h, s.w, want_gw.data(),
+        /*accumulate=*/true);
+  }
+  expect_bitwise_equal(got_gi, want_gi);
+  expect_bitwise_equal(grad_weight, want_gw);
 }
 
 INSTANTIATE_TEST_SUITE_P(UNetShapes, Col2imGemmConvTranspose3d,

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+
+#include "common/check.hpp"
 #include "gradcheck.hpp"
 
 namespace dmis::nn {
@@ -68,6 +71,40 @@ TEST(Conv3dTest, RejectsWrongChannelCount) {
   Conv3d conv(4, 8, 3, 1, 1, rng);
   NDArray in(Shape{1, 3, 8, 8, 8});
   EXPECT_THROW(conv.forward1(in, true), InvalidArgument);
+}
+
+// Only a training forward keeps its input: backward after an inference
+// forward has nothing to differentiate and says so, even when an earlier
+// training forward's activation would still have been around.
+TEST(Conv3dTest, BackwardAfterInferenceForwardThrows) {
+  Rng rng(1);
+  Conv3d conv(2, 3, 3, 1, 1, rng);
+  NDArray in(Shape{1, 2, 4, 4, 4}, 0.5F);
+  const NDArray grad(conv.forward1(in, false).shape(), 1.0F);
+  EXPECT_THROW(conv.backward(grad), InvalidArgument);
+  conv.forward1(in, true);
+  conv.forward1(in, false);
+  EXPECT_THROW(conv.backward(grad), InvalidArgument);
+}
+
+TEST(Conv3dTest, InferenceForwardLeavesTrainingBackwardUnchanged) {
+  Rng rng_a(1), rng_b(1), rng_in(2);
+  Conv3d a(2, 3, 3, 1, 1, rng_a), b(2, 3, 3, 1, 1, rng_b);
+  NDArray in(Shape{1, 2, 4, 4, 4}), other(Shape{1, 2, 4, 4, 4}, 0.25F);
+  testing::fill_uniform(in, rng_in, -1.0F, 1.0F);
+  const NDArray grad(a.forward1(in, true).shape(), 1.0F);
+  const NDArray want = a.backward(grad).front();
+  b.forward1(other, false);
+  b.forward1(in, true);
+  const NDArray got = b.backward(grad).front();
+  ASSERT_EQ(got.shape(), want.shape());
+  EXPECT_EQ(std::memcmp(got.data(), want.data(),
+                        static_cast<size_t>(want.numel()) * sizeof(float)),
+            0);
+  EXPECT_EQ(std::memcmp(b.params()[0].grad->data(), a.params()[0].grad->data(),
+                        static_cast<size_t>(a.params()[0].grad->numel()) *
+                            sizeof(float)),
+            0);
 }
 
 TEST(Conv3dTest, GradCheck3x3x3SamePadding) {

@@ -1,4 +1,4 @@
-// Differential parity: the production (im2col + SGEMM) convolution
+// Differential parity: the production (implicit-GEMM) convolution
 // layers must agree with the direct loop-nest reference kernels in
 // conv_reference.hpp on forward outputs and on every gradient (input,
 // weight, bias), across a seeded-random fuzz over conv geometry. The

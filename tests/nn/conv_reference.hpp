@@ -1,5 +1,5 @@
 // Reference convolution kernels: the direct loop nests the production
-// im2col+SGEMM layers are differentially tested against.
+// implicit-GEMM layers are differentially tested against.
 //
 // Simple and obviously correct, not fast: forward is parallel over
 // (batch x output channel), backward is split into race-free passes

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+
+#include "common/check.hpp"
 #include "gradcheck.hpp"
 
 namespace dmis::nn {
@@ -55,6 +58,38 @@ TEST(ConvTranspose3dTest, RejectsWrongChannels) {
   ConvTranspose3d up(4, 4, 2, 2, rng);
   NDArray in(Shape{1, 2, 2, 2, 2});
   EXPECT_THROW(up.forward1(in, true), InvalidArgument);
+}
+
+// Only a training forward keeps its input (see Conv3dTest's pair).
+TEST(ConvTranspose3dTest, BackwardAfterInferenceForwardThrows) {
+  Rng rng(1);
+  ConvTranspose3d up(2, 3, 2, 2, rng);
+  NDArray in(Shape{1, 2, 2, 3, 2}, 0.5F);
+  const NDArray grad(up.forward1(in, false).shape(), 1.0F);
+  EXPECT_THROW(up.backward(grad), InvalidArgument);
+  up.forward1(in, true);
+  up.forward1(in, false);
+  EXPECT_THROW(up.backward(grad), InvalidArgument);
+}
+
+TEST(ConvTranspose3dTest, InferenceForwardLeavesTrainingBackwardUnchanged) {
+  Rng rng_a(1), rng_b(1), rng_in(2);
+  ConvTranspose3d a(2, 3, 2, 2, rng_a), b(2, 3, 2, 2, rng_b);
+  NDArray in(Shape{1, 2, 2, 3, 2}), other(Shape{1, 2, 2, 3, 2}, 0.25F);
+  testing::fill_uniform(in, rng_in, -1.0F, 1.0F);
+  const NDArray grad(a.forward1(in, true).shape(), 1.0F);
+  const NDArray want = a.backward(grad).front();
+  b.forward1(other, false);
+  b.forward1(in, true);
+  const NDArray got = b.backward(grad).front();
+  ASSERT_EQ(got.shape(), want.shape());
+  EXPECT_EQ(std::memcmp(got.data(), want.data(),
+                        static_cast<size_t>(want.numel()) * sizeof(float)),
+            0);
+  EXPECT_EQ(std::memcmp(b.params()[0].grad->data(), a.params()[0].grad->data(),
+                        static_cast<size_t>(a.params()[0].grad->numel()) *
+                            sizeof(float)),
+            0);
 }
 
 TEST(ConvTranspose3dTest, GradCheckK2S2) {

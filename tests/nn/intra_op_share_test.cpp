@@ -1,8 +1,8 @@
 // A rank's intra-op share changes how many chunks each parallel_for
 // splits into, never the numbers: forward and backward of the U-Nets the
-// training benchmarks run are bitwise equal at share 1 and at the whole
-// pool, across batch and instance norm, max-pooling, the im2col SGEMM
-// and the fused col2im GEMM.
+// training benchmarks run are bitwise equal at shares 1, 2 and the whole
+// pool, across batch and instance norm, max-pooling and the three conv
+// kernels (implicit GEMM forward and weight gradient, fused col2im GEMM).
 #include <gtest/gtest.h>
 
 #include <cstring>
@@ -71,15 +71,20 @@ bool bitwise_equal(const std::vector<float>& a, const std::vector<float>& b) {
 
 class IntraOpShareInvariance : public ::testing::TestWithParam<NetCase> {};
 
+// Share 2 splits every conv's voxels (or taps) into two chunks, the
+// whole pool into as many as it has workers.
 TEST_P(IntraOpShareInvariance, ForwardAndGradientsAreBitwiseEqual) {
   const NetCase& c = GetParam();
   const Pass inline_pass = run_at_share(c, 1);
-  const Pass wide_pass = run_at_share(c, ThreadPool::global().size());
-  EXPECT_TRUE(bitwise_equal(inline_pass.output, wide_pass.output));
-  ASSERT_EQ(inline_pass.grads.size(), wide_pass.grads.size());
-  for (size_t i = 0; i < inline_pass.grads.size(); ++i) {
-    EXPECT_TRUE(bitwise_equal(inline_pass.grads[i], wide_pass.grads[i]))
-        << "parameter " << i;
+  for (const int share : {2, ThreadPool::global().size()}) {
+    const Pass wide_pass = run_at_share(c, share);
+    EXPECT_TRUE(bitwise_equal(inline_pass.output, wide_pass.output))
+        << "share " << share;
+    ASSERT_EQ(inline_pass.grads.size(), wide_pass.grads.size());
+    for (size_t i = 0; i < inline_pass.grads.size(); ++i) {
+      EXPECT_TRUE(bitwise_equal(inline_pass.grads[i], wide_pass.grads[i]))
+          << "share " << share << ", parameter " << i;
+    }
   }
 }
 

@@ -3,6 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <vector>
+
+#include "tensor/rng.hpp"
 
 namespace dmis::nn {
 namespace {
@@ -158,6 +162,78 @@ TEST(OptimizerTest, AdamStateRoundTripResumesExactly) {
   original.step();
   wrong.step();  // step_count 1 vs the original's 9
   EXPECT_NE(a.w[0], c.w[0]);
+}
+
+// The scalar Adam step as it was written before Adam::apply vectorized:
+// apply must match it bit for bit.
+void reference_adam_step(std::vector<NDArray>& w, const std::vector<NDArray>& g,
+                         std::vector<NDArray>& m, std::vector<NDArray>& v,
+                         int64_t step, double lr, double beta1, double beta2,
+                         double eps) {
+  const double bc1 = 1.0 - std::pow(beta1, static_cast<double>(step));
+  const double bc2 = 1.0 - std::pow(beta2, static_cast<double>(step));
+  for (size_t i = 0; i < w.size(); ++i) {
+    for (int64_t j = 0; j < w[i].numel(); ++j) {
+      m[i][j] = static_cast<float>(beta1 * m[i][j] + (1.0 - beta1) * g[i][j]);
+      v[i][j] = static_cast<float>(beta2 * v[i][j] +
+                                   (1.0 - beta2) *
+                                       static_cast<double>(g[i][j]) * g[i][j]);
+      const double m_hat = m[i][j] / bc1;
+      const double v_hat = v[i][j] / bc2;
+      w[i][j] -= static_cast<float>(lr * m_hat / (std::sqrt(v_hat) + eps));
+    }
+  }
+}
+
+bool bitwise_equal(const NDArray& a, const NDArray& b) {
+  return a.shape() == b.shape() &&
+         std::memcmp(a.data(), b.data(),
+                     static_cast<size_t>(a.numel()) * sizeof(float)) == 0;
+}
+
+TEST(AdamTest, StepIsBitwiseEqualToScalarLoop) {
+  // Sizes around every vector width, none a multiple of 8 but one.
+  const std::vector<int64_t> sizes = {1, 3, 8, 13, 31, 1027};
+  std::vector<NDArray> w, g, ref_w, ref_m, ref_v;
+  Rng rng(17);
+  for (const int64_t n : sizes) {
+    NDArray t(Shape{n});
+    for (int64_t j = 0; j < n; ++j) {
+      t[j] = static_cast<float>(rng.uniform(-1.0, 1.0));
+    }
+    w.push_back(t);
+    ref_w.push_back(t);
+    g.emplace_back(Shape{n});
+    ref_m.emplace_back(Shape{n});
+    ref_v.emplace_back(Shape{n});
+  }
+  std::vector<Param> params;
+  for (size_t i = 0; i < w.size(); ++i) {
+    params.push_back({"p" + std::to_string(i), &w[i], &g[i]});
+  }
+  const double lr = 3e-3, beta1 = 0.85, beta2 = 0.995, eps = 1e-7;
+  Adam adam(params, lr, beta1, beta2, eps);
+  for (int64_t step = 1; step <= 6; ++step) {
+    for (NDArray& t : g) {
+      for (int64_t j = 0; j < t.numel(); ++j) {
+        // Zero and tiny gradients exercise v_hat == 0 and denormal paths.
+        t[j] = (j % 5 == 0) ? 0.0F
+                            : static_cast<float>(rng.normal() *
+                                                 (j % 3 == 0 ? 1e-20 : 1.0));
+      }
+    }
+    adam.step();
+    reference_adam_step(ref_w, g, ref_m, ref_v, step, lr, beta1, beta2, eps);
+    const std::vector<Param> state = adam.state_params();
+    for (size_t i = 0; i < w.size(); ++i) {
+      EXPECT_TRUE(bitwise_equal(w[i], ref_w[i]))
+          << "weights of param " << i << " at step " << step;
+      EXPECT_TRUE(bitwise_equal(*state[2 * i].value, ref_m[i]))
+          << "m of param " << i << " at step " << step;
+      EXPECT_TRUE(bitwise_equal(*state[2 * i + 1].value, ref_v[i]))
+          << "v of param " << i << " at step " << step;
+    }
+  }
 }
 
 }  // namespace

@@ -1,9 +1,11 @@
-// The fused GEMM + col2im kernel against the unfused pair it replaced
-// (sgemm into a column matrix, then the col2im_3d scatter-add): the two
-// must agree bit for bit, for every geometry, thread count and reduced
-// channel count. Both sides rely on the same floating-point contraction
-// (FMA) in the -march=native kernels, so compiling the fused kernel with
-// different flags than sgemm shows up here as last-bit differences.
+// The conv kernels of tensor/gemm.hpp against the stored-lowering
+// compositions they replaced: col2im_gemm_3d against sgemm into a column
+// matrix then the col2im_3d scatter-add, im2col_gemm_3d and
+// gemm_im2col_t_3d against sgemm on the im2col_3d matrix. Each pair must
+// agree bit for bit, for every geometry, thread count, row count and
+// reduction length. Both sides rely on the same floating-point
+// contraction (FMA) in the -march=native kernels, so compiling a kernel
+// with different flags than sgemm shows up here as last-bit differences.
 #include <gtest/gtest.h>
 
 #include <cstring>
@@ -98,6 +100,166 @@ TEST(Col2imGemmTest, RejectsInconsistentExtents) {
   std::vector<float> wt(27), go(27), im(27);
   EXPECT_THROW(col2im_gemm_3d(wt.data(), go.data(), 1, 1, 3, 3, 3, 3, 1, 1,
                               2, 3, 3, im.data()),
+               InvalidArgument);
+}
+
+// The implicit-GEMM kernels. The rows m of A are a ragged register tile
+// (1, 4, 5, 7; the weight gradient's 12x8 tile) and a second MC block
+// (97; the weight gradient's 6x16 tile). The reductions (channels * k^3
+// taps for the forward, output voxels for the weight gradient) straddle a
+// KC = 256 boundary at k3, k5 and the stride-1 extents. Both accumulate
+// modes.
+
+/// One kernel call's operands: A, the image, and C's starting contents.
+struct ImplicitCase {
+  int64_t m, channels, d, h, w, od, oh, ow, taps, cols;
+  std::vector<float> a, im, c0;
+};
+
+ImplicitCase make_case(const Geom& g, int64_t m, int64_t channels, int64_t d,
+                       int64_t h, int64_t w, bool weight_grad) {
+  ImplicitCase t{.m = m, .channels = channels, .d = d, .h = h, .w = w,
+                 .od = (d + 2 * g.p - g.k) / g.s + 1,
+                 .oh = (h + 2 * g.p - g.k) / g.s + 1,
+                 .ow = (w + 2 * g.p - g.k) / g.s + 1, .taps = 0, .cols = 0,
+                 .a = {}, .im = {}, .c0 = {}};
+  t.taps = channels * g.k * g.k * g.k;
+  t.cols = t.od * t.oh * t.ow;
+  Rng rng(static_cast<uint64_t>(1000 * g.k + 100 * g.s + 10 * g.p + w + m +
+                                channels));
+  t.a = random_values(m * (weight_grad ? t.cols : t.taps), rng);
+  t.im = random_values(channels * d * h * w, rng);
+  t.c0 = random_values(m * (weight_grad ? t.taps : t.cols), rng);
+  // Signed zeros in every operand: a kernel that adds a padding tap as +0
+  // where sgemm multiplies a stored 0 (or the reverse) differs here.
+  for (size_t i = 0; i < t.a.size(); i += 11) t.a[i] = -0.0F;
+  for (size_t i = 0; i < t.im.size(); i += 7) t.im[i] = -0.0F;
+  for (size_t i = 0; i < t.c0.size(); i += 5) t.c0[i] = -0.0F;
+  return t;
+}
+
+bool bitwise_equal(const std::vector<float>& a, const std::vector<float>& b) {
+  return a.size() == b.size() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(float)) == 0;
+}
+
+/// Runs `check(case, accumulate)` over the suite's rows, channel counts,
+/// odd widths and both accumulate modes of one geometry.
+template <class Check>
+void for_each_case(const Geom& g, bool weight_grad, Check check) {
+  const int64_t d = 5, h = 7;
+  for (const int64_t w : {1, 9, 19}) {
+    if (w + 2 * g.p < g.k) continue;  // no output position fits
+    for (const int64_t m : {1, 4, 5, 7, 97}) {
+      for (const int64_t channels : {3, 13}) {
+        const ImplicitCase t = make_case(g, m, channels, d, h, w, weight_grad);
+        for (const bool accumulate : {false, true}) {
+          SCOPED_TRACE(::testing::Message()
+                       << "w=" << w << " m=" << m << " channels=" << channels
+                       << " accumulate=" << accumulate);
+          check(t, accumulate);
+        }
+      }
+    }
+  }
+}
+
+class ImplicitGemmOracle : public ::testing::TestWithParam<Geom> {};
+
+TEST_P(ImplicitGemmOracle, ForwardMatchesIm2colSgemmBitwise) {
+  const Geom g = GetParam();
+  ThreadPool pool1(1);
+  ThreadPool pool4(4);
+  for_each_case(g, false, [&](const ImplicitCase& t, bool accumulate) {
+    std::vector<float> want = t.c0;
+    testing::im2col_gemm_oracle(t.a.data(), t.im.data(), t.m, t.channels, t.d,
+                                t.h, t.w, g.k, g.s, g.p, t.od, t.oh, t.ow,
+                                want.data(), accumulate);
+    for (ThreadPool* pool : {&pool1, &pool4}) {
+      std::vector<float> got = t.c0;
+      im2col_gemm_3d(t.a.data(), t.im.data(), t.m, t.channels, t.d, t.h, t.w,
+                     g.k, g.s, g.p, t.od, t.oh, t.ow, got.data(), accumulate,
+                     pool);
+      ASSERT_TRUE(bitwise_equal(got, want)) << "threads=" << pool->size();
+    }
+  });
+}
+
+TEST_P(ImplicitGemmOracle, WeightGradientMatchesIm2colSgemmBitwise) {
+  const Geom g = GetParam();
+  ThreadPool pool1(1);
+  ThreadPool pool4(4);
+  for_each_case(g, true, [&](const ImplicitCase& t, bool accumulate) {
+    std::vector<float> want = t.c0;
+    testing::gemm_im2col_t_oracle(t.a.data(), t.im.data(), t.m, t.channels,
+                                  t.d, t.h, t.w, g.k, g.s, g.p, t.od, t.oh,
+                                  t.ow, want.data(), accumulate);
+    for (ThreadPool* pool : {&pool1, &pool4}) {
+      std::vector<float> got = t.c0;
+      gemm_im2col_t_3d(t.a.data(), t.im.data(), t.m, t.channels, t.d, t.h,
+                       t.w, g.k, g.s, g.p, t.od, t.oh, t.ow, got.data(),
+                       accumulate, pool);
+      ASSERT_TRUE(bitwise_equal(got, want)) << "threads=" << pool->size();
+    }
+  });
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Geoms, ImplicitGemmOracle,
+    ::testing::Values(Geom{1, 1, 0},  // Conv3d's 1x1x1 head
+                      Geom{1, 1, 1}, Geom{1, 2, 0}, Geom{1, 2, 1},
+                      Geom{2, 1, 0}, Geom{2, 1, 1},
+                      Geom{2, 2, 0},  // ConvTranspose3d's backward
+                      Geom{2, 2, 1}, Geom{3, 1, 0},
+                      Geom{3, 1, 1},  // Conv3d's "same" 3x3x3
+                      Geom{3, 2, 0}, Geom{3, 2, 1}, Geom{5, 1, 0},
+                      Geom{5, 1, 1}, Geom{5, 2, 0}, Geom{5, 2, 1}),
+    [](const ::testing::TestParamInfo<Geom>& info) {
+      const Geom& g = info.param;
+      std::ostringstream name;
+      name << "k" << g.k << "s" << g.s << "p" << g.p;
+      return name.str();
+    });
+
+// Every pool size splits the output columns differently (one chunk per
+// worker, the last one short); each element's arithmetic must not move.
+TEST(Im2colGemmTest, ThreadCountInvariance) {
+  const Geom g{3, 1, 1};
+  const ImplicitCase t = make_case(g, 7, 13, 9, 11, 13, false);
+  std::vector<float> want;
+  for (const int threads : {1, 2, 3, 4}) {
+    ThreadPool pool(threads);
+    std::vector<float> got = t.c0;
+    im2col_gemm_3d(t.a.data(), t.im.data(), t.m, t.channels, t.d, t.h, t.w,
+                   g.k, g.s, g.p, t.od, t.oh, t.ow, got.data(),
+                   /*accumulate=*/true, &pool);
+    if (want.empty()) want = got;
+    EXPECT_TRUE(bitwise_equal(got, want)) << "threads=" << threads;
+  }
+}
+
+TEST(GemmIm2colTTest, ThreadCountInvariance) {
+  const Geom g{3, 1, 1};
+  const ImplicitCase t = make_case(g, 7, 13, 9, 11, 13, true);
+  std::vector<float> want;
+  for (const int threads : {1, 2, 3, 4}) {
+    ThreadPool pool(threads);
+    std::vector<float> got = t.c0;
+    gemm_im2col_t_3d(t.a.data(), t.im.data(), t.m, t.channels, t.d, t.h, t.w,
+                     g.k, g.s, g.p, t.od, t.oh, t.ow, got.data(),
+                     /*accumulate=*/true, &pool);
+    if (want.empty()) want = got;
+    EXPECT_TRUE(bitwise_equal(got, want)) << "threads=" << threads;
+  }
+}
+
+TEST(Im2colGemmTest, RejectsInconsistentExtents) {
+  std::vector<float> a(27), im(27), c(27);
+  EXPECT_THROW(im2col_gemm_3d(a.data(), im.data(), 1, 1, 3, 3, 3, 3, 1, 1, 2,
+                              3, 3, c.data(), false),
+               InvalidArgument);
+  EXPECT_THROW(gemm_im2col_t_3d(a.data(), im.data(), 1, 1, 3, 3, 3, 3, 1, 1,
+                                2, 3, 3, c.data(), false),
                InvalidArgument);
 }
 

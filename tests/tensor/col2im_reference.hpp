@@ -1,11 +1,20 @@
-// col2im_3d, the scatter-add adjoint of im2col_3d, and the unfused
-// GEMM + col2im pair that col2im_gemm_3d replaced in the layers. Both are
-// test oracles: col2im_gemm_3d must match the pair bit for bit.
+// The stored conv lowerings the layers no longer build, kept as test
+// oracles: im2col_3d and its scatter-add adjoint col2im_3d, and the
+// unfused SGEMM compositions each tensor/gemm.hpp conv kernel must match
+// bit for bit.
 #pragma once
 
 #include <cstdint>
 
 namespace dmis::testing {
+
+/// Unfolds `im` (channels x d x h x w) into `col` ([channels*kernel^3] x
+/// [od*oh*ow]): row (c, kz, ky, kx) holds, for every output position,
+/// the input voxel that tap reads, or 0 in the padding. `od/oh/ow` must
+/// equal (extent + 2*pad - kernel) / stride + 1 per axis.
+void im2col_3d(const float* im, int64_t channels, int64_t d, int64_t h,
+               int64_t w, int64_t kernel, int64_t stride, int64_t pad,
+               int64_t od, int64_t oh, int64_t ow, float* col);
 
 /// Accumulates (+=) every entry of `col` ([channels*kernel^3] x
 /// [od*oh*ow]) back into its source voxel of `im` (channels x d x h x w),
@@ -21,5 +30,21 @@ void col2im_gemm_oracle(const float* wt, const float* g, int64_t reduced,
                         int64_t channels, int64_t d, int64_t h, int64_t w,
                         int64_t kernel, int64_t stride, int64_t pad,
                         int64_t od, int64_t oh, int64_t ow, float* im);
+
+/// c (+)= a * im2col_3d(im) through a materialized column matrix and
+/// sgemm: the composition im2col_gemm_3d replaces, with its arguments.
+void im2col_gemm_oracle(const float* a, const float* im, int64_t m,
+                        int64_t channels, int64_t d, int64_t h, int64_t w,
+                        int64_t kernel, int64_t stride, int64_t pad,
+                        int64_t od, int64_t oh, int64_t ow, float* c,
+                        bool accumulate);
+
+/// c (+)= a * im2col_3d(im)^T through a materialized column matrix and
+/// sgemm: the composition gemm_im2col_t_3d replaces, with its arguments.
+void gemm_im2col_t_oracle(const float* a, const float* im, int64_t m,
+                          int64_t channels, int64_t d, int64_t h, int64_t w,
+                          int64_t kernel, int64_t stride, int64_t pad,
+                          int64_t od, int64_t oh, int64_t ow, float* c,
+                          bool accumulate);
 
 }  // namespace dmis::testing

