@@ -25,11 +25,13 @@ constexpr int64_t KC = 256;
 constexpr int64_t NC = 2048;
 
 // A product is split over threads only in shares of at least this many
-// multiply-adds (tens of microseconds); smaller ones, such as the 1x1x1
-// head, run inline, where a dispatch would cost more than it saves.
+// multiply-adds (about 60 us on one core); smaller ones, such as the
+// 1x1x1 head, run inline. On a 4-core AVX-512 host, splitting products
+// of 2^13..2^18 four ways was 1.2-2x slower than running them inline,
+// even at 2^19..2^20 it only broke even, and at 1.8M it won.
 constexpr int64_t kMinItemMacs = int64_t{1} << 18;
 
-static_assert(MC % MR == 0 && MC % 12 == 0 && NC % NR == 0);
+static_assert(MC % MR == 0 && NC % NR == 0);
 
 // Stands in for the A rows past the end of a ragged row tile.
 alignas(64) constexpr float kZeros[KC] = {};
@@ -40,18 +42,17 @@ using v8sf = float __attribute__((vector_size(32), aligned(4)));
 
 inline v8sf splat(float x) { return v8sf{x, x, x, x, x, x, x, x}; }
 
-/// acc[r][c] = sum over kk < kc of a[r][kk] * b[kk][c], for the TR rows
-/// `a` and the kc rows `b` of TN floats each: a TR x TN tile of C held in
-/// TR * TN / 8 vector accumulators (the loops over them unroll fully, so
+/// acc[r][c] = sum over kk < kc of a[r][kk] * b[kk][c], for the MR rows
+/// `a` and the kc rows `b` of NR floats each: an MR x NR tile of C held in
+/// MR * NR / 8 vector accumulators (the loops over them unroll fully, so
 /// the tile stays in registers across the k loop).
-template <int64_t TR, int64_t TN>
 void micro_kernel(int64_t kc, const float* const* a, const float* const* b,
                   float* acc) {
-  constexpr int64_t V = TN / 8;
-  v8sf c[TR][V];
-  const float* ar[TR];
+  constexpr int64_t V = NR / 8;
+  v8sf c[MR][V];
+  const float* ar[MR];
 #pragma GCC unroll 16
-  for (int64_t r = 0; r < TR; ++r) {
+  for (int64_t r = 0; r < MR; ++r) {
     ar[r] = a[r];
 #pragma GCC unroll 2
     for (int64_t v = 0; v < V; ++v) c[r][v] = v8sf{};
@@ -63,7 +64,7 @@ void micro_kernel(int64_t kc, const float* const* a, const float* const* b,
       bv[v] = *reinterpret_cast<const v8sf*>(b[kk] + 8 * v);
     }
 #pragma GCC unroll 16
-    for (int64_t r = 0; r < TR; ++r) {
+    for (int64_t r = 0; r < MR; ++r) {
       const v8sf x = splat(ar[r][kk]);
 #pragma GCC unroll 2
       for (int64_t v = 0; v < V; ++v) c[r][v] += x * bv[v];
@@ -71,21 +72,19 @@ void micro_kernel(int64_t kc, const float* const* a, const float* const* b,
   }
   v8sf* out = reinterpret_cast<v8sf*>(acc);
 #pragma GCC unroll 16
-  for (int64_t r = 0; r < TR; ++r) {
+  for (int64_t r = 0; r < MR; ++r) {
 #pragma GCC unroll 2
     for (int64_t v = 0; v < V; ++v) out[r * V + v] = c[r][v];
   }
 }
 
-/// Writes (or accumulates) the valid mr x nr corner of a tile with TN
-/// columns into C at row i, column j — or, with trans_c, into C^T
-/// (C[j + q][i + r]).
-template <int64_t TN>
+/// Writes (or accumulates) the valid mr x nr corner of the tile into C at
+/// row i, column j — or, with trans_c, into C^T (C[j + q][i + r]).
 void store_tile(const float* acc, float* c, int64_t ldc, bool trans_c,
                 int64_t i, int64_t j, int64_t mr, int64_t nr,
                 bool overwrite) {
   for (int64_t r = 0; r < mr; ++r) {
-    const float* arow = acc + r * TN;
+    const float* arow = acc + r * NR;
     if (trans_c) {
       float* ccol = c + j * ldc + i + r;
       for (int64_t q = 0; q < nr; ++q) {
@@ -108,11 +107,9 @@ void store_tile(const float* acc, float* c, int64_t ldc, bool trans_c,
 ///   pack_a(i0, p0, mc, kc, buf, rows) points rows[r] (r < mc) at the kc
 ///     entries A[i0 + r][p0 ..], packing them into `buf` (room for mc x
 ///     kc floats) where they are not stored contiguously;
-///   pack_b(p0, j0, kc, nr, buf, rows) points rows[kk] (kk < kc) at TN
+///   pack_b(p0, j0, kc, nr, buf, rows) points rows[kk] (kk < kc) at NR
 ///     floats starting with B[p0 + kk][j0 .. j0 + nr), packing into `buf`
 ///     (room for KC x NR floats) where needed; lanes past nr are ignored.
-/// The register tile is TR x TN: MR x NR by default, 12 x 8 for products
-/// at most 8 columns wide, which would leave most of a 16-lane tile idle.
 ///
 /// Work items are (row block, column chunk) pairs, with the longer side
 /// of C cut so every core of the caller's share gets work even when the
@@ -121,7 +118,7 @@ void store_tile(const float* acc, float* c, int64_t ldc, bool trans_c,
 /// C element sees one FMA chain per KC block, the blocks added in order,
 /// whatever the split, so results are bitwise identical for any thread
 /// count.
-template <int64_t TR = MR, int64_t TN = NR, class PackA, class PackB>
+template <class PackA, class PackB>
 void blocked_gemm(int64_t m, int64_t n, int64_t k, const PackA& pack_a,
                   const PackB& pack_b, float* c, int64_t ldc, bool trans_c,
                   bool accumulate, ThreadPool& tp) {
@@ -130,9 +127,9 @@ void blocked_gemm(int64_t m, int64_t n, int64_t k, const PackA& pack_a,
   int64_t mch = MC;
   int64_t nch = NC;
   if (n >= m) {
-    nch = std::min(NC, ((n + units - 1) / units + TN - 1) / TN * TN);
+    nch = std::min(NC, ((n + units - 1) / units + NR - 1) / NR * NR);
   } else {
-    mch = std::min(MC, ((m + units - 1) / units + TR - 1) / TR * TR);
+    mch = std::min(MC, ((m + units - 1) / units + MR - 1) / MR * MR);
   }
   const int64_t mblocks = (m + mch - 1) / mch;
   const int64_t nchunks = (n + nch - 1) / nch;
@@ -141,13 +138,13 @@ void blocked_gemm(int64_t m, int64_t n, int64_t k, const PackA& pack_a,
     thread_local std::vector<const float*> arows;
     float bbuf[KC * NR];
     const float* brows[KC];
-    float acc[TR * TN];
+    float acc[MR * NR];
     for (int64_t item = lo; item < hi; ++item) {
       const int64_t i0 = item % mblocks * mch;
       const int64_t j0 = item / mblocks * nch;
       const int64_t mc = std::min(mch, m - i0);
       const int64_t nc = std::min(nch, n - j0);
-      const int64_t mc_pad = (mc + TR - 1) / TR * TR;
+      const int64_t mc_pad = (mc + MR - 1) / MR * MR;
       if (static_cast<int64_t>(abuf.size()) < mc * KC) {
         abuf.resize(static_cast<size_t>(mc * KC));
       }
@@ -158,13 +155,13 @@ void blocked_gemm(int64_t m, int64_t n, int64_t k, const PackA& pack_a,
         pack_a(i0, p0, mc, kc, abuf.data(), arows.data());
         // First k-block overwrites C unless accumulating; later blocks add.
         const bool overwrite = (p0 == 0) && !accumulate;
-        for (int64_t jr = 0; jr < nc; jr += TN) {
-          const int64_t nr = std::min(TN, nc - jr);
+        for (int64_t jr = 0; jr < nc; jr += NR) {
+          const int64_t nr = std::min(NR, nc - jr);
           pack_b(p0, j0 + jr, kc, nr, bbuf, brows);
-          for (int64_t ir = 0; ir < mc; ir += TR) {
-            micro_kernel<TR, TN>(kc, arows.data() + ir, brows, acc);
-            store_tile<TN>(acc, c, ldc, trans_c, i0 + ir, j0 + jr,
-                           std::min(TR, mc - ir), nr, overwrite);
+          for (int64_t ir = 0; ir < mc; ir += MR) {
+            micro_kernel(kc, arows.data() + ir, brows, acc);
+            store_tile(acc, c, ldc, trans_c, i0 + ir, j0 + jr,
+                       std::min(MR, mc - ir), nr, overwrite);
           }
         }
       }
@@ -419,25 +416,17 @@ void gemm_im2col_t_3d(const float* a, const float* im, int64_t m,
                           float* buf, const float** rows) {
     pack_im2col_rows(g, i0, p0, mc, kc, buf, rows);
   };
-  // A^T's rows are packed to the tile width.
-  const int64_t width = (m <= 8) ? 8 : NR;
   const auto pack_b = [&](int64_t p0, int64_t j0, int64_t kc, int64_t nr,
                           float* buf, const float** rows) {
     for (int64_t kk = 0; kk < kc; ++kk) {
-      float* dst = buf + kk * width;
+      float* dst = buf + kk * NR;
       for (int64_t q = 0; q < nr; ++q) dst[q] = a[(j0 + q) * cols + p0 + kk];
-      std::fill(dst + nr, dst + width, 0.0F);
+      std::fill(dst + nr, dst + NR, 0.0F);
       rows[kk] = dst;
     }
   };
-  ThreadPool& tp = (pool != nullptr) ? *pool : ThreadPool::global();
-  if (width == 8) {
-    blocked_gemm<12, 8>(taps, m, cols, pack_a, pack_b, c, taps,
-                        /*trans_c=*/true, accumulate, tp);
-  } else {
-    blocked_gemm(taps, m, cols, pack_a, pack_b, c, taps, /*trans_c=*/true,
-                 accumulate, tp);
-  }
+  blocked_gemm(taps, m, cols, pack_a, pack_b, c, taps, /*trans_c=*/true,
+               accumulate, (pool != nullptr) ? *pool : ThreadPool::global());
 }
 
 namespace {

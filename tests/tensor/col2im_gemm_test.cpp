@@ -104,8 +104,9 @@ TEST(Col2imGemmTest, RejectsInconsistentExtents) {
 }
 
 // The implicit-GEMM kernels. The rows m of A are a ragged register tile
-// (1, 4, 5, 7; the weight gradient's 12x8 tile) and a second MC block
-// (97; the weight gradient's 6x16 tile). The reductions (channels * k^3
+// (1, 4, 5, 7) and a second MC block (97); the weight gradient, computed
+// transposed, puts them on the tile's 16 lanes (ragged, and 7 panels
+// with a ragged last one). The reductions (channels * k^3
 // taps for the forward, output voxels for the weight gradient) straddle a
 // KC = 256 boundary at k3, k5 and the stride-1 extents. Both accumulate
 // modes.
@@ -220,6 +221,52 @@ INSTANTIATE_TEST_SUITE_P(
       name << "k" << g.k << "s" << g.s << "p" << g.p;
       return name.str();
     });
+
+// The implicit kernels against the scalar chain model on the stored
+// im2col_3d matrix, with no sgemm in between: what the suites above show
+// against sgemm, shown against a model that shares no code with the
+// kernels' loop nest. Shapes of the U-Nets' convs (the "same" 3x3x3 and
+// the up-convolution's backward) and a strided one; 13 channels make the
+// 3x3x3 reduction 351 taps long, across a KC boundary.
+TEST(ImplicitGemmChainModel, KernelsEqualKcChainModelBitwise) {
+  ThreadPool pool1(1);
+  ThreadPool pool4(4);
+  for (const Geom g : {Geom{3, 1, 1}, Geom{2, 2, 0}, Geom{3, 2, 1}}) {
+    for (const int64_t m : {4, 97}) {
+      for (const bool weight_grad : {false, true}) {
+        const ImplicitCase t = make_case(g, m, 13, 5, 7, 19, weight_grad);
+        std::vector<float> col(static_cast<size_t>(t.taps * t.cols));
+        testing::im2col_3d(t.im.data(), t.channels, t.d, t.h, t.w, g.k, g.s,
+                           g.p, t.od, t.oh, t.ow, col.data());
+        for (const bool accumulate : {false, true}) {
+          for (ThreadPool* pool : {&pool1, &pool4}) {
+            SCOPED_TRACE(::testing::Message()
+                         << "k=" << g.k << " s=" << g.s << " p=" << g.p
+                         << " m=" << m << " weight_grad=" << weight_grad
+                         << " accumulate=" << accumulate
+                         << " threads=" << pool->size());
+            std::vector<float> got = t.c0;
+            if (weight_grad) {
+              gemm_im2col_t_3d(t.a.data(), t.im.data(), t.m, t.channels, t.d,
+                               t.h, t.w, g.k, g.s, g.p, t.od, t.oh, t.ow,
+                               got.data(), accumulate, pool);
+              ASSERT_TRUE(testing::matches_kc_chain(
+                  got, t.c0, false, true, t.m, t.taps, t.cols, t.a.data(),
+                  t.cols, col.data(), t.cols, accumulate));
+            } else {
+              im2col_gemm_3d(t.a.data(), t.im.data(), t.m, t.channels, t.d,
+                             t.h, t.w, g.k, g.s, g.p, t.od, t.oh, t.ow,
+                             got.data(), accumulate, pool);
+              ASSERT_TRUE(testing::matches_kc_chain(
+                  got, t.c0, false, false, t.m, t.cols, t.taps, t.a.data(),
+                  t.taps, col.data(), t.cols, accumulate));
+            }
+          }
+        }
+      }
+    }
+  }
+}
 
 // Every pool size splits the output columns differently (one chunk per
 // worker, the last one short); each element's arithmetic must not move.

@@ -1,7 +1,9 @@
 #include "col2im_reference.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <cstddef>
+#include <cstring>
 #include <vector>
 
 #include "common/check.hpp"
@@ -116,6 +118,49 @@ void gemm_im2col_t_oracle(const float* a, const float* im, int64_t m,
             col.data());
   sgemm(false, true, m, taps, cols, a, cols, col.data(), cols, c, taps,
         accumulate);
+}
+
+void kc_chain_gemm(bool fused, bool trans_a, bool trans_b, int64_t m,
+                   int64_t n, int64_t k, const float* a, int64_t lda,
+                   const float* b, int64_t ldb, float* c, int64_t ldc,
+                   bool accumulate) {
+  constexpr int64_t kBlock = 256;  // tensor/gemm.cpp's KC
+  for (int64_t i = 0; i < m; ++i) {
+    for (int64_t j = 0; j < n; ++j) {
+      float& out = c[i * ldc + j];
+      for (int64_t p0 = 0; p0 < k; p0 += kBlock) {
+        float chain = 0.0F;
+        for (int64_t p = p0; p < std::min(k, p0 + kBlock); ++p) {
+          const float x = trans_a ? a[p * lda + i] : a[i * lda + p];
+          const float y = trans_b ? b[j * ldb + p] : b[p * ldb + j];
+          if (fused) {
+            chain = std::fma(x, y, chain);
+          } else {
+            const float prod = x * y;
+            chain += prod;
+          }
+        }
+        out = (p0 == 0 && !accumulate) ? chain : out + chain;
+      }
+    }
+  }
+}
+
+bool matches_kc_chain(const std::vector<float>& got, std::vector<float> c0,
+                      bool trans_a, bool trans_b, int64_t m, int64_t n,
+                      int64_t k, const float* a, int64_t lda, const float* b,
+                      int64_t ldb, bool accumulate) {
+  for (const bool fused : {true, false}) {
+    std::vector<float> want = c0;
+    kc_chain_gemm(fused, trans_a, trans_b, m, n, k, a, lda, b, ldb,
+                  want.data(), n, accumulate);
+    if (got.size() == want.size() &&
+        std::memcmp(got.data(), want.data(), got.size() * sizeof(float)) ==
+            0) {
+      return true;
+    }
+  }
+  return false;
 }
 
 }  // namespace dmis::testing

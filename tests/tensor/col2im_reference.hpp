@@ -1,10 +1,12 @@
 // The stored conv lowerings the layers no longer build, kept as test
-// oracles: im2col_3d and its scatter-add adjoint col2im_3d, and the
-// unfused SGEMM compositions each tensor/gemm.hpp conv kernel must match
-// bit for bit.
+// oracles: im2col_3d and its scatter-add adjoint col2im_3d, the unfused
+// SGEMM compositions each tensor/gemm.hpp conv kernel must match bit for
+// bit, and a scalar model of the arithmetic every tensor/gemm.hpp GEMM
+// is specified to perform, which shares no code with them.
 #pragma once
 
 #include <cstdint>
+#include <vector>
 
 namespace dmis::testing {
 
@@ -46,5 +48,25 @@ void gemm_im2col_t_oracle(const float* a, const float* im, int64_t m,
                           int64_t kernel, int64_t stride, int64_t pad,
                           int64_t od, int64_t oh, int64_t ow, float* c,
                           bool accumulate);
+
+/// c (+)= op(a) * op(b) ([m, n], leading dimensions lda, ldb, ldc) the
+/// way every GEMM in tensor/gemm.hpp is specified to compute it, with no
+/// blocking, packing or threads: per element of c, one multiply-add chain
+/// from +0 over each 256-long block of the reduction in order — fused
+/// into one rounding per step when `fused`, else product then sum — and
+/// the chains of successive blocks stored (the first, unless
+/// `accumulate`) or added to c in block order.
+void kc_chain_gemm(bool fused, bool trans_a, bool trans_b, int64_t m,
+                   int64_t n, int64_t k, const float* a, int64_t lda,
+                   const float* b, int64_t ldb, float* c, int64_t ldc,
+                   bool accumulate);
+
+/// True when `got` equals kc_chain_gemm's result over the initial C `c0`
+/// (both dense [m, n]) bit for bit, fused or unfused: which of the two
+/// the kernels compute depends on whether their ISA has FMA.
+bool matches_kc_chain(const std::vector<float>& got, std::vector<float> c0,
+                      bool trans_a, bool trans_b, int64_t m, int64_t n,
+                      int64_t k, const float* a, int64_t lda, const float* b,
+                      int64_t ldb, bool accumulate);
 
 }  // namespace dmis::testing

@@ -5,6 +5,7 @@
 #include <cmath>
 #include <vector>
 
+#include "col2im_reference.hpp"
 #include "common/check.hpp"
 #include "tensor/rng.hpp"
 #include "tensor/thread_pool.hpp"
@@ -169,6 +170,43 @@ TEST(SgemmTest, ThreadCountInvariance) {
   for (size_t i = 0; i < c1.size(); ++i) {
     ASSERT_EQ(c1[i], c4[i]) << "element " << i
                             << " differs between 1 and 4 threads";
+  }
+}
+
+// Bitwise equality with a scalar model of the specified arithmetic (one
+// chain per KC block from +0, blocks added in order), which shares no
+// code with the blocked loop nest: the conv kernels' oracle suites run
+// sgemm too, so they alone cannot show that the loop nest keeps its bits.
+TEST(SgemmTest, EqualsKcChainModelBitwise) {
+  ThreadPool pool1(1);
+  ThreadPool pool4(4);
+  for (const GemmCase t : kCases) {
+    Rng rng(0xB175 ^ static_cast<uint64_t>(t.m * 1000003 + t.n * 17 + t.k));
+    for (const bool trans_a : {false, true}) {
+      for (const bool trans_b : {false, true}) {
+        const auto a = random_matrix(t.m, t.k, rng);
+        const auto b = random_matrix(t.k, t.n, rng);
+        const int64_t lda = trans_a ? t.m : t.k;
+        const int64_t ldb = trans_b ? t.k : t.n;
+        const auto c0 = random_matrix(t.m, t.n, rng);
+        for (const bool accumulate : {false, true}) {
+          for (ThreadPool* pool : {&pool1, &pool4}) {
+            SCOPED_TRACE(::testing::Message()
+                         << "m=" << t.m << " n=" << t.n << " k=" << t.k
+                         << " trans_a=" << trans_a << " trans_b=" << trans_b
+                         << " accumulate=" << accumulate
+                         << " threads=" << pool->size());
+            auto got = c0;
+            sgemm(trans_a, trans_b, t.m, t.n, t.k, a.data(), lda, b.data(),
+                  ldb, got.data(), t.n, accumulate, pool);
+            ASSERT_TRUE(testing::matches_kc_chain(got, c0, trans_a, trans_b,
+                                                  t.m, t.n, t.k, a.data(),
+                                                  lda, b.data(), ldb,
+                                                  accumulate));
+          }
+        }
+      }
+    }
   }
 }
 
