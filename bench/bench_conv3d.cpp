@@ -81,7 +81,7 @@ void BM_Conv3dBackward(benchmark::State& state) {
   const NDArray out = conv.forward1(in, true);
   const NDArray grad = random_input(out.shape(), 3);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(conv.backward(grad).front().data());
+    benchmark::DoNotOptimize(conv.backward1(in, out, grad).front().data());
   }
 }
 BENCHMARK(BM_Conv3dBackward)

@@ -47,9 +47,19 @@ int Graph::index_of(const std::string& name) const {
   return it->second;
 }
 
+std::vector<const NDArray*> Graph::inputs_of(const Node& node) const {
+  std::vector<const NDArray*> ins;
+  ins.reserve(node.inputs.size());
+  for (int idx : node.inputs) {
+    ins.push_back(&nodes_[static_cast<size_t>(idx)].output);
+  }
+  return ins;
+}
+
 const NDArray& Graph::forward(
     const std::map<std::string, const NDArray*>& feeds, bool training) {
   DMIS_CHECK(output_node_ >= 0, "output node not set");
+  trained_forward_ = false;
   for (auto& node : nodes_) {
     node.has_grad = false;
     if (node.module == nullptr) {
@@ -58,15 +68,12 @@ const NDArray& Graph::forward(
                  "missing feed for input '" << node.name << "'");
       node.output = *it->second;
     } else {
-      std::vector<const NDArray*> ins;
-      ins.reserve(node.inputs.size());
-      for (int idx : node.inputs) {
-        ins.push_back(&nodes_[static_cast<size_t>(idx)].output);
-      }
+      const std::vector<const NDArray*> ins = inputs_of(node);
       node.output = node.module->forward(
           std::span<const NDArray* const>(ins.data(), ins.size()), training);
     }
   }
+  trained_forward_ = training;
   return nodes_[static_cast<size_t>(output_node_)].output;
 }
 
@@ -79,6 +86,7 @@ void Graph::backward(const NDArray& grad_output) {
 void Graph::backward_multi(
     const std::map<std::string, const NDArray*>& seeds) {
   DMIS_CHECK(!seeds.empty(), "backward_multi needs at least one seed");
+  DMIS_CHECK(trained_forward_, "backward needs a training forward first");
   for (const auto& [name, grad] : seeds) {
     DMIS_CHECK(grad != nullptr, "null gradient seed for '" << name << "'");
     Node& node = nodes_[static_cast<size_t>(index_of(name))];
@@ -98,7 +106,10 @@ void Graph::backward_multi(
   for (auto it = nodes_.rbegin(); it != nodes_.rend(); ++it) {
     Node& node = *it;
     if (!node.has_grad || node.module == nullptr) continue;
-    std::vector<NDArray> input_grads = node.module->backward(node.grad);
+    const std::vector<const NDArray*> ins = inputs_of(node);
+    std::vector<NDArray> input_grads = node.module->backward(
+        std::span<const NDArray* const>(ins.data(), ins.size()), node.output,
+        node.grad);
     if (grad_ready_hook_) {
       for (Param& p : node.module->params()) {
         grad_ready_hook_(Param{node.name + "." + p.name, p.value, p.grad});

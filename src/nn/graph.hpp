@@ -5,6 +5,10 @@
 // input must already exist), so execution is a simple ordered sweep.
 // When a node feeds several consumers — the U-Net skip connections — the
 // incoming gradients are accumulated before that node's own backward runs.
+//
+// The graph owns the activations: every node's output lives here until
+// the next forward(), and backward() hands each module the inputs and
+// output of its last forward (see module.hpp), so no layer keeps a copy.
 #pragma once
 
 #include <functional>
@@ -37,13 +41,16 @@ class Graph {
                          bool training);
 
   /// Back-propagates `grad_output` (d loss / d output-node) through the
-  /// graph, accumulating parameter gradients in every layer.
+  /// graph, accumulating parameter gradients in every layer. Needs a
+  /// training forward first: throws InvalidArgument when no forward has
+  /// run or the last one was an inference forward.
   void backward(const NDArray& grad_output);
 
   /// Back-propagates from several seed nodes at once — the stage-level
   /// form needed by pipeline parallelism, where a stage's boundary
   /// tensors (e.g. the U-Net bottleneck plus every skip connection)
-  /// each receive a gradient from the downstream stage.
+  /// each receive a gradient from the downstream stage. Same
+  /// precondition as backward().
   void backward_multi(const std::map<std::string, const NDArray*>& seeds);
 
   /// Per-parameter readiness callback for gradient-synchronization
@@ -91,11 +98,14 @@ class Graph {
   };
 
   int index_of(const std::string& name) const;
+  /// The outputs of `node`'s upstream nodes, in input order.
+  std::vector<const NDArray*> inputs_of(const Node& node) const;
 
   std::vector<Node> nodes_;
   std::map<std::string, int> by_name_;
   GradReadyHook grad_ready_hook_;
   int output_node_ = -1;
+  bool trained_forward_ = false;  // the last forward ran in training mode
 };
 
 }  // namespace dmis::nn

@@ -16,8 +16,8 @@
 // aligned to the pooling grid make every core prediction identical to
 // the full-volume one (shift equivariance holds at multiples of the
 // stride product), so the two modes agree to float rounding. This
-// requires spatially local layers: batch norm in eval mode qualifies,
-// instance norm (whole-input statistics) does not.
+// requires spatially local layers: batch norm in eval mode qualifies; a
+// norm over whole-input statistics would not.
 #pragma once
 
 #include <functional>

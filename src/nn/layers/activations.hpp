@@ -1,5 +1,7 @@
 // Pointwise activations: ReLU (analysis/synthesis paths) and Sigmoid
 // (the 1x1x1 head of the paper's model outputs per-voxel probabilities).
+// Both differentiate from their own output: ReLU passes the gradient
+// where the output is positive, Sigmoid scales it by s * (1 - s).
 #pragma once
 
 #include "nn/module.hpp"
@@ -11,10 +13,9 @@ class ReLU final : public Module {
   std::string type() const override { return "ReLU"; }
   NDArray forward(std::span<const NDArray* const> inputs,
                   bool training) override;
-  std::vector<NDArray> backward(const NDArray& grad_output) override;
-
- private:
-  NDArray mask_;  // 1 where input > 0
+  std::vector<NDArray> backward(std::span<const NDArray* const> inputs,
+                               const NDArray& output,
+                               const NDArray& grad_output) override;
 };
 
 class Sigmoid final : public Module {
@@ -22,10 +23,9 @@ class Sigmoid final : public Module {
   std::string type() const override { return "Sigmoid"; }
   NDArray forward(std::span<const NDArray* const> inputs,
                   bool training) override;
-  std::vector<NDArray> backward(const NDArray& grad_output) override;
-
- private:
-  NDArray output_;  // sigmoid(x), reused in the derivative
+  std::vector<NDArray> backward(std::span<const NDArray* const> inputs,
+                               const NDArray& output,
+                               const NDArray& grad_output) override;
 };
 
 }  // namespace dmis::nn

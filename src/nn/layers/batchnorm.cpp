@@ -30,7 +30,6 @@ NDArray BatchNorm::forward(std::span<const NDArray* const> inputs,
   DMIS_CHECK(s.rank() >= 2, "BatchNorm expects rank>=2, got " << s.str());
   DMIS_CHECK(s.c() == channels_, "BatchNorm expects " << channels_
                                  << " channels, got " << s.c());
-  input_shape_ = s;
   trained_forward_ = training;
 
   const int64_t N = s.n(), C = channels_;
@@ -40,12 +39,11 @@ NDArray BatchNorm::forward(std::span<const NDArray* const> inputs,
   const int64_t count = N * spatial;   // elements per channel
 
   NDArray out(s);
-  x_hat_ = NDArray(s);
+  mean_.assign(static_cast<size_t>(C), 0.0F);
   inv_std_.assign(static_cast<size_t>(C), 0.0F);
 
   const float* x = in.data();
   float* y = out.data();
-  float* xh = x_hat_.data();
   const float* g = gamma_.data();
   const float* b = beta_.data();
   float* rm = running_mean_.data();
@@ -76,14 +74,13 @@ NDArray BatchNorm::forward(std::span<const NDArray* const> inputs,
         var = rv[c];
       }
       const float istd = 1.0F / std::sqrt(var + eps_);
+      mean_[static_cast<size_t>(c)] = mean;
       inv_std_[static_cast<size_t>(c)] = istd;
       for (int64_t n = 0; n < N; ++n) {
         const float* xc = x + n * ns + c * cs;
-        float* xhc = xh + n * ns + c * cs;
         float* yc = y + n * ns + c * cs;
         for (int64_t i = 0; i < spatial; ++i) {
           const float h = (xc[i] - mean) * istd;
-          xhc[i] = h;
           yc[i] = g[c] * h + b[c];
         }
       }
@@ -92,10 +89,18 @@ NDArray BatchNorm::forward(std::span<const NDArray* const> inputs,
   return out;
 }
 
-std::vector<NDArray> BatchNorm::backward(const NDArray& grad_output) {
-  DMIS_CHECK(grad_output.shape() == input_shape_,
+std::vector<NDArray> BatchNorm::backward(
+    std::span<const NDArray* const> inputs, const NDArray& /*output*/,
+    const NDArray& grad_output) {
+  DMIS_CHECK(inputs.size() == 1, "BatchNorm expects 1 input");
+  const NDArray& in = *inputs[0];
+  const Shape& s = in.shape();
+  DMIS_CHECK(s.rank() >= 2 && s.c() == channels_ &&
+                 static_cast<int64_t>(mean_.size()) == channels_,
+             "BatchNorm backward: input shape " << s.str()
+                                                << " mismatch or no forward");
+  DMIS_CHECK(grad_output.shape() == s,
              "BatchNorm backward: grad shape mismatch");
-  const Shape& s = input_shape_;
   const int64_t N = s.n(), C = channels_;
   const int64_t spatial = s.numel() / (N * C);
   const int64_t cs = spatial;
@@ -104,7 +109,7 @@ std::vector<NDArray> BatchNorm::backward(const NDArray& grad_output) {
 
   NDArray grad_input(s);
   const float* go = grad_output.data();
-  const float* xh = x_hat_.data();
+  const float* x = in.data();
   const float* g = gamma_.data();
   float* gi = grad_input.data();
   float* gg = grad_gamma_.data();
@@ -112,20 +117,22 @@ std::vector<NDArray> BatchNorm::backward(const NDArray& grad_output) {
 
   parallel_for(0, C, [&](int64_t lo, int64_t hi) {
     for (int64_t c = lo; c < hi; ++c) {
+      const float mean = mean_[static_cast<size_t>(c)];
+      const float istd = inv_std_[static_cast<size_t>(c)];
       double sum_go = 0.0;
       double sum_go_xh = 0.0;
       for (int64_t n = 0; n < N; ++n) {
         const float* goc = go + n * ns + c * cs;
-        const float* xhc = xh + n * ns + c * cs;
+        const float* xc = x + n * ns + c * cs;
         for (int64_t i = 0; i < spatial; ++i) {
+          const float h = (xc[i] - mean) * istd;
           sum_go += goc[i];
-          sum_go_xh += static_cast<double>(goc[i]) * xhc[i];
+          sum_go_xh += static_cast<double>(goc[i]) * h;
         }
       }
       gg[c] += static_cast<float>(sum_go_xh);
       gb[c] += static_cast<float>(sum_go);
 
-      const float istd = inv_std_[static_cast<size_t>(c)];
       if (trained_forward_) {
         // Full batch-norm backward: d(x) depends on the batch statistics.
         const float m = static_cast<float>(count);
@@ -133,11 +140,11 @@ std::vector<NDArray> BatchNorm::backward(const NDArray& grad_output) {
         const float mean_go_xh = static_cast<float>(sum_go_xh) / m;
         for (int64_t n = 0; n < N; ++n) {
           const float* goc = go + n * ns + c * cs;
-          const float* xhc = xh + n * ns + c * cs;
+          const float* xc = x + n * ns + c * cs;
           float* gic = gi + n * ns + c * cs;
           for (int64_t i = 0; i < spatial; ++i) {
-            gic[i] = g[c] * istd *
-                     (goc[i] - mean_go - xhc[i] * mean_go_xh);
+            const float h = (xc[i] - mean) * istd;
+            gic[i] = g[c] * istd * (goc[i] - mean_go - h * mean_go_xh);
           }
         }
       } else {

@@ -4,6 +4,9 @@
 // computed per channel over (N, D, H, W). Training mode normalizes with
 // batch statistics and updates exponential running averages; evaluation
 // mode normalizes with the running averages. gamma/beta are learnable.
+// Backward recomputes the normalized input x_hat = (x - mean) * inv_std
+// from the forward's input and the per-channel statistics it kept, in the
+// same float arithmetic as forward, so no x_hat tensor is stored.
 #pragma once
 
 #include <vector>
@@ -22,7 +25,9 @@ class BatchNorm final : public Module {
   std::string type() const override { return "BatchNorm"; }
   NDArray forward(std::span<const NDArray* const> inputs,
                   bool training) override;
-  std::vector<NDArray> backward(const NDArray& grad_output) override;
+  std::vector<NDArray> backward(std::span<const NDArray* const> inputs,
+                               const NDArray& output,
+                               const NDArray& grad_output) override;
   std::vector<Param> params() override;
   std::vector<Param> state() override;
 
@@ -41,10 +46,9 @@ class BatchNorm final : public Module {
   NDArray running_mean_;  // [C] (non-trainable state)
   NDArray running_var_;   // [C]
 
-  // Saved forward state for backward.
-  NDArray x_hat_;              // normalized input
-  std::vector<float> inv_std_; // per-channel 1/sqrt(var + eps)
-  Shape input_shape_;
+  // Per-channel statistics of the last forward, for backward.
+  std::vector<float> mean_;     // batch or running mean
+  std::vector<float> inv_std_;  // 1/sqrt(var + eps)
   bool trained_forward_ = false;
 };
 

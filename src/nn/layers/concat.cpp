@@ -16,7 +16,6 @@ NDArray Concat::forward(std::span<const NDArray* const> inputs,
   const Shape& first = inputs[0]->shape();
   DMIS_CHECK(first.rank() == 5, "Concat expects rank-5 inputs");
   int64_t total_c = 0;
-  input_shapes_.clear();
   for (const NDArray* t : inputs) {
     const Shape& s = t->shape();
     DMIS_CHECK(s.rank() == 5 && s.n() == first.n() && s.d() == first.d() &&
@@ -24,7 +23,6 @@ NDArray Concat::forward(std::span<const NDArray* const> inputs,
                "Concat input shape " << s.str() << " incompatible with "
                                      << first.str());
     total_c += s.c();
-    input_shapes_.push_back(s);
   }
 
   const int64_t N = first.n();
@@ -46,9 +44,13 @@ NDArray Concat::forward(std::span<const NDArray* const> inputs,
   return out;
 }
 
-std::vector<NDArray> Concat::backward(const NDArray& grad_output) {
-  DMIS_CHECK(!input_shapes_.empty(), "Concat backward before forward");
-  const Shape& first = input_shapes_.front();
+std::vector<NDArray> Concat::backward(std::span<const NDArray* const> inputs,
+                                      const NDArray& /*output*/,
+                                      const NDArray& grad_output) {
+  DMIS_CHECK(static_cast<int>(inputs.size()) == num_inputs_,
+             "Concat expects " << num_inputs_ << " inputs, got "
+                               << inputs.size());
+  const Shape& first = inputs[0]->shape();
   const int64_t N = first.n();
   const int64_t spatial = first.d() * first.dim(3) * first.dim(4);
   const int64_t total_c = grad_output.shape().c();
@@ -56,9 +58,10 @@ std::vector<NDArray> Concat::backward(const NDArray& grad_output) {
   const float* go = grad_output.data();
 
   std::vector<NDArray> grads;
-  grads.reserve(input_shapes_.size());
+  grads.reserve(inputs.size());
   int64_t c_off = 0;
-  for (const Shape& s : input_shapes_) {
+  for (const NDArray* t : inputs) {
+    const Shape& s = t->shape();
     NDArray g(s);
     const int64_t c = s.c();
     const int64_t slab = c * spatial;

@@ -18,11 +18,12 @@ class Concat final : public Module {
   int arity() const override { return num_inputs_; }
   NDArray forward(std::span<const NDArray* const> inputs,
                   bool training) override;
-  std::vector<NDArray> backward(const NDArray& grad_output) override;
+  std::vector<NDArray> backward(std::span<const NDArray* const> inputs,
+                               const NDArray& output,
+                               const NDArray& grad_output) override;
 
  private:
   int num_inputs_;
-  std::vector<Shape> input_shapes_;
 };
 
 }  // namespace dmis::nn

@@ -29,17 +29,13 @@ Conv3d::Conv3d(int64_t in_channels, int64_t out_channels, int kernel,
 }
 
 NDArray Conv3d::forward(std::span<const NDArray* const> inputs,
-                        bool training) {
+                        bool /*training*/) {
   DMIS_CHECK(inputs.size() == 1, "Conv3d expects 1 input");
   const NDArray& in = *inputs[0];
   const Shape& s = in.shape();
   DMIS_CHECK(s.rank() == 5, "Conv3d expects rank-5 input, got " << s.str());
   DMIS_CHECK(s.c() == cin_, "Conv3d expects " << cin_ << " input channels, got "
                                               << s.c());
-  // Only a training forward is followed by backward; an inference
-  // forward drops any earlier activation instead of copying this one.
-  input_ = training ? in : NDArray();
-
   const int64_t N = s.n(), D = s.d(), H = s.dim(3), W = s.dim(4);
   const int64_t OD = out_extent(D), OH = out_extent(H), OW = out_extent(W);
   DMIS_CHECK(OD > 0 && OH > 0 && OW > 0,
@@ -72,10 +68,14 @@ NDArray Conv3d::forward(std::span<const NDArray* const> inputs,
   return out;
 }
 
-std::vector<NDArray> Conv3d::backward(const NDArray& grad_output) {
-  DMIS_CHECK(input_.shape().rank() == 5,
-             "Conv3d backward needs a training forward first");
-  const Shape& is = input_.shape();
+std::vector<NDArray> Conv3d::backward(
+    std::span<const NDArray* const> inputs, const NDArray& /*output*/,
+    const NDArray& grad_output) {
+  DMIS_CHECK(inputs.size() == 1, "Conv3d expects 1 input");
+  const NDArray& in = *inputs[0];
+  const Shape& is = in.shape();
+  DMIS_CHECK(is.rank() == 5 && is.c() == cin_,
+             "Conv3d backward: input shape " << is.str() << " mismatch");
   const int64_t N = is.n(), D = is.d(), H = is.dim(3), W = is.dim(4);
   const int64_t OD = out_extent(D), OH = out_extent(H), OW = out_extent(W);
   DMIS_CHECK(grad_output.shape() == Shape({N, cout_, OD, OH, OW}),
@@ -85,7 +85,7 @@ std::vector<NDArray> Conv3d::backward(const NDArray& grad_output) {
   NDArray grad_input(is);
   const int64_t k = kernel_, st = stride_, p = padding_;
   const int64_t cols = OD * OH * OW;
-  const float* x = input_.data();
+  const float* x = in.data();
   const float* w = weight_.data();
   const float* go = grad_output.data();
   float* gw = grad_weight_.data();

@@ -28,7 +28,9 @@ class Conv3d final : public Module {
   std::string type() const override { return "Conv3d"; }
   NDArray forward(std::span<const NDArray* const> inputs,
                   bool training) override;
-  std::vector<NDArray> backward(const NDArray& grad_output) override;
+  std::vector<NDArray> backward(std::span<const NDArray* const> inputs,
+                               const NDArray& output,
+                               const NDArray& grad_output) override;
   std::vector<Param> params() override;
 
   int64_t in_channels() const { return cin_; }
@@ -58,8 +60,6 @@ class Conv3d final : public Module {
   NDArray bias_;         // [Cout]
   NDArray grad_weight_;  // same shape as weight_
   NDArray grad_bias_;    // same shape as bias_
-
-  NDArray input_;  // activation of the last training forward, for backward
 };
 
 }  // namespace dmis::nn

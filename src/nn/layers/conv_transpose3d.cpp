@@ -35,17 +35,13 @@ ConvTranspose3d::ConvTranspose3d(int64_t in_channels, int64_t out_channels,
 //   weight grad:  GW += X * im2col(GO)^T     (gemm_im2col_t_3d);
 // none of which stores the column matrix.
 NDArray ConvTranspose3d::forward(std::span<const NDArray* const> inputs,
-                                 bool training) {
+                                 bool /*training*/) {
   DMIS_CHECK(inputs.size() == 1, "ConvTranspose3d expects 1 input");
   const NDArray& in = *inputs[0];
   const Shape& s = in.shape();
   DMIS_CHECK(s.rank() == 5, "expects rank-5 input, got " << s.str());
   DMIS_CHECK(s.c() == cin_,
              "expects " << cin_ << " input channels, got " << s.c());
-  // Only a training forward is followed by backward; an inference
-  // forward drops any earlier activation instead of copying this one.
-  input_ = training ? in : NDArray();
-
   const int64_t N = s.n(), D = s.d(), H = s.dim(3), W = s.dim(4);
   const int64_t OD = out_extent(D), OH = out_extent(H), OW = out_extent(W);
   NDArray out(Shape{N, cout_, OD, OH, OW});
@@ -70,10 +66,14 @@ NDArray ConvTranspose3d::forward(std::span<const NDArray* const> inputs,
   return out;
 }
 
-std::vector<NDArray> ConvTranspose3d::backward(const NDArray& grad_output) {
-  DMIS_CHECK(input_.shape().rank() == 5,
-             "ConvTranspose3d backward needs a training forward first");
-  const Shape& is = input_.shape();
+std::vector<NDArray> ConvTranspose3d::backward(
+    std::span<const NDArray* const> inputs, const NDArray& /*output*/,
+    const NDArray& grad_output) {
+  DMIS_CHECK(inputs.size() == 1, "ConvTranspose3d expects 1 input");
+  const NDArray& in = *inputs[0];
+  const Shape& is = in.shape();
+  DMIS_CHECK(is.rank() == 5 && is.c() == cin_,
+             "ConvTranspose3d backward: input shape " << is.str() << " mismatch");
   const int64_t N = is.n(), D = is.d(), H = is.dim(3), W = is.dim(4);
   const int64_t OD = out_extent(D), OH = out_extent(H), OW = out_extent(W);
   DMIS_CHECK(grad_output.shape() == Shape({N, cout_, OD, OH, OW}),
@@ -84,7 +84,7 @@ std::vector<NDArray> ConvTranspose3d::backward(const NDArray& grad_output) {
   const int64_t k = kernel_, st = stride_;
   const int64_t cols = D * H * W;
   const int64_t out_cs = OD * OH * OW;
-  const float* x = input_.data();
+  const float* x = in.data();
   const float* w = weight_.data();
   const float* go = grad_output.data();
   float* gw = grad_weight_.data();

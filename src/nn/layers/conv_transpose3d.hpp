@@ -26,7 +26,9 @@ class ConvTranspose3d final : public Module {
   std::string type() const override { return "ConvTranspose3d"; }
   NDArray forward(std::span<const NDArray* const> inputs,
                   bool training) override;
-  std::vector<NDArray> backward(const NDArray& grad_output) override;
+  std::vector<NDArray> backward(std::span<const NDArray* const> inputs,
+                               const NDArray& output,
+                               const NDArray& grad_output) override;
   std::vector<Param> params() override;
 
   int64_t out_extent(int64_t in_extent) const {
@@ -43,7 +45,6 @@ class ConvTranspose3d final : public Module {
   NDArray bias_;         // [Cout]
   NDArray grad_weight_;
   NDArray grad_bias_;
-  NDArray input_;  // activation of the last training forward, for backward
 };
 
 }  // namespace dmis::nn

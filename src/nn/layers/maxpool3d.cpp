@@ -18,14 +18,12 @@ NDArray MaxPool3d::forward(std::span<const NDArray* const> inputs,
   const NDArray& in = *inputs[0];
   const Shape& s = in.shape();
   DMIS_CHECK(s.rank() == 5, "MaxPool3d expects rank-5 input, got " << s.str());
-  input_shape_ = s;
 
   const int64_t N = s.n(), C = s.c(), D = s.d(), H = s.dim(3), W = s.dim(4);
   const int64_t OD = out_extent(D), OH = out_extent(H), OW = out_extent(W);
   DMIS_CHECK(OD > 0 && OH > 0 && OW > 0,
              "pool output collapsed for input " << s.str());
-  output_shape_ = Shape{N, C, OD, OH, OW};
-  NDArray out(output_shape_);
+  NDArray out(Shape{N, C, OD, OH, OW});
   argmax_.assign(static_cast<size_t>(out.numel()), -1);
 
   const int64_t k = kernel_, st = stride_;
@@ -71,18 +69,22 @@ NDArray MaxPool3d::forward(std::span<const NDArray* const> inputs,
   return out;
 }
 
-std::vector<NDArray> MaxPool3d::backward(const NDArray& grad_output) {
-  DMIS_CHECK(grad_output.shape() == output_shape_,
+std::vector<NDArray> MaxPool3d::backward(
+    std::span<const NDArray* const> inputs, const NDArray& output,
+    const NDArray& grad_output) {
+  DMIS_CHECK(inputs.size() == 1, "MaxPool3d expects 1 input");
+  const Shape& os = output.shape();
+  DMIS_CHECK(grad_output.shape() == os &&
+                 static_cast<int64_t>(argmax_.size()) == os.numel(),
              "MaxPool3d backward: grad shape " << grad_output.shape().str()
                                                << " mismatch");
-  NDArray grad_input(input_shape_);
+  NDArray grad_input(inputs[0]->shape());
   float* gi = grad_input.data();
   const float* go = grad_output.data();
   // Scatter is race-free parallel over (N x C): windows of distinct
   // channel slabs never overlap.
-  const int64_t out_cs = output_shape_.d() * output_shape_.dim(3) *
-                         output_shape_.dim(4);
-  parallel_for(0, output_shape_.n() * output_shape_.c(),
+  const int64_t out_cs = os.d() * os.dim(3) * os.dim(4);
+  parallel_for(0, os.n() * os.c(),
                [&](int64_t lo, int64_t hi) {
                  for (int64_t nc = lo; nc < hi; ++nc) {
                    for (int64_t o = nc * out_cs; o < (nc + 1) * out_cs; ++o) {

@@ -18,7 +18,9 @@ class MaxPool3d final : public Module {
   std::string type() const override { return "MaxPool3d"; }
   NDArray forward(std::span<const NDArray* const> inputs,
                   bool training) override;
-  std::vector<NDArray> backward(const NDArray& grad_output) override;
+  std::vector<NDArray> backward(std::span<const NDArray* const> inputs,
+                               const NDArray& output,
+                               const NDArray& grad_output) override;
 
   int64_t out_extent(int64_t in_extent) const {
     return (in_extent - kernel_) / stride_ + 1;
@@ -27,8 +29,6 @@ class MaxPool3d final : public Module {
  private:
   int kernel_;
   int stride_;
-  Shape input_shape_;
-  Shape output_shape_;
   std::vector<int64_t> argmax_;  // flat input index per output element
 };
 

@@ -1,12 +1,14 @@
 // Module: the layer abstraction of the dmis_nn engine.
 //
 // The engine uses explicit, layer-owned gradients (the Caffe design) rather
-// than a taped autograd: each Module computes its output in forward() while
-// stashing whatever activations backward() needs, and backward() maps the
-// gradient w.r.t. its output to gradients w.r.t. each input (plus parameter
-// gradients accumulated into Param::grad). Networks are DAGs of Modules
-// wired by dmis::nn::Graph, which handles topological execution and
-// multi-consumer gradient accumulation (U-Net skip connections).
+// than a taped autograd: each Module computes its output in forward(), and
+// backward() maps the gradient w.r.t. that output to gradients w.r.t. each
+// input (plus parameter gradients accumulated into Param::grad). The
+// activations backward() reads — the forward's inputs and its output — are
+// handed back to it by the caller; no layer keeps a copy. Networks are DAGs
+// of Modules wired by dmis::nn::Graph, which owns every node's output,
+// handles topological execution and multi-consumer gradient accumulation
+// (U-Net skip connections).
 #pragma once
 
 #include <span>
@@ -34,14 +36,18 @@ class Module {
   virtual std::string type() const = 0;
 
   /// Computes the output for `inputs`. `training` selects train-time
-  /// behaviour (batch-norm batch statistics, dropout masks, ...).
-  /// Implementations must retain whatever backward() will need.
+  /// behaviour (batch-norm batch statistics). Implementations keep no
+  /// activation; only small per-call state such as batch statistics or
+  /// pooling indices.
   virtual NDArray forward(std::span<const NDArray* const> inputs,
                           bool training) = 0;
 
-  /// Maps d(loss)/d(output) to d(loss)/d(input_i) for each input of the
-  /// preceding forward() call; accumulates parameter gradients (+=).
-  virtual std::vector<NDArray> backward(const NDArray& grad_output) = 0;
+  /// Maps d(loss)/d(output) to d(loss)/d(input_i) for each input;
+  /// accumulates parameter gradients (+=). `inputs` and `output` are the
+  /// arguments and result of the preceding forward() call, unchanged.
+  virtual std::vector<NDArray> backward(
+      std::span<const NDArray* const> inputs, const NDArray& output,
+      const NDArray& grad_output) = 0;
 
   /// Learnable parameters (empty for stateless layers).
   virtual std::vector<Param> params() { return {}; }
@@ -58,6 +64,14 @@ class Module {
   NDArray forward1(const NDArray& input, bool training) {
     const NDArray* ptr = &input;
     return forward(std::span<const NDArray* const>(&ptr, 1), training);
+  }
+
+  /// Convenience for single-input layers.
+  std::vector<NDArray> backward1(const NDArray& input, const NDArray& output,
+                                 const NDArray& grad_output) {
+    const NDArray* ptr = &input;
+    return backward(std::span<const NDArray* const>(&ptr, 1), output,
+                    grad_output);
   }
 };
 

@@ -11,7 +11,6 @@
 #include "nn/layers/concat.hpp"
 #include "nn/layers/conv3d.hpp"
 #include "nn/layers/conv_transpose3d.hpp"
-#include "nn/layers/instancenorm.hpp"
 #include "nn/layers/maxpool3d.hpp"
 
 namespace dmis::nn {
@@ -25,17 +24,9 @@ std::string conv_block(Graph& graph, const UNet3dOptions& opts,
   graph.add(name + "_conv", std::make_unique<Conv3d>(cin, cout, 3, 1, 1, rng),
             {input});
   std::string prev = name + "_conv";
-  switch (opts.effective_norm()) {
-    case NormKind::kBatch:
-      graph.add(name + "_bn", std::make_unique<BatchNorm>(cout), {prev});
-      prev = name + "_bn";
-      break;
-    case NormKind::kInstance:
-      graph.add(name + "_in", std::make_unique<InstanceNorm>(cout), {prev});
-      prev = name + "_in";
-      break;
-    case NormKind::kNone:
-      break;
+  if (opts.norm == NormKind::kBatch) {
+    graph.add(name + "_bn", std::make_unique<BatchNorm>(cout), {prev});
+    prev = name + "_bn";
   }
   graph.add(name + "_relu", std::make_unique<ReLU>(), {prev});
   return name + "_relu";
@@ -204,8 +195,6 @@ NDArray PipelinedUNet3d::forward(const NDArray& input, bool training) {
 void PipelinedUNet3d::backward(const NDArray& grad_output) {
   DMIS_CHECK(!inflight_.empty(), "backward before forward");
   const int m = static_cast<int>(inflight_.size());
-  const int64_t per = grad_output.numel() / grad_output.shape().n();
-  (void)per;
 
   // Reverse fill-drain: stage 1 (this thread) recomputes and
   // back-propagates microbatch m-1..0, handing boundary gradients to
@@ -218,8 +207,9 @@ void PipelinedUNet3d::backward(const NDArray& grad_output) {
     for (int done = 0; done < m; ++done) {
       const int i = to_stage0.pop();
       Microbatch& mb = inflight_[static_cast<size_t>(i)];
-      // Recompute stage-0 forward to restore layer stashes, then seed
-      // the bottleneck + skip nodes with the downstream gradients.
+      // Recompute stage-0 forward to restore the graph's node outputs,
+      // then seed the bottleneck + skip nodes with the downstream
+      // gradients.
       (void)run_stage0(mb.stage0_input, forward_was_training_);
       std::map<std::string, const NDArray*> seeds;
       auto& grads = boundary_grads[static_cast<size_t>(i)];

@@ -11,9 +11,9 @@
 //    stage s+1 processes m-1;
 //  * activation recomputation: forward keeps only the per-microbatch
 //    stage inputs; backward re-runs each stage's forward to restore the
-//    layer stashes before back-propagating (GPipe's memory strategy) —
-//    this is exactly what lets large-input models exceed single-device
-//    activation memory;
+//    graph's node outputs before back-propagating (GPipe's memory
+//    strategy) — this is exactly what lets large-input models exceed
+//    single-device activation memory;
 //  * parameter gradients accumulate across microbatches, giving
 //    synchronous (no-staleness) SGD semantics: with batch norm disabled
 //    the result is numerically equivalent to single-device training on

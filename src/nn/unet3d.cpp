@@ -6,7 +6,6 @@
 #include "common/check.hpp"
 #include "nn/layers/activations.hpp"
 #include "nn/layers/batchnorm.hpp"
-#include "nn/layers/instancenorm.hpp"
 #include "nn/layers/concat.hpp"
 #include "nn/layers/conv3d.hpp"
 #include "nn/layers/conv_transpose3d.hpp"
@@ -20,17 +19,9 @@ std::string UNet3d::conv_block(const std::string& name,
   graph_.add(name + "_conv", std::make_unique<Conv3d>(cin, cout, 3, 1, 1, rng),
              {input});
   std::string prev = name + "_conv";
-  switch (opts_.effective_norm()) {
-    case NormKind::kBatch:
-      graph_.add(name + "_bn", std::make_unique<BatchNorm>(cout), {prev});
-      prev = name + "_bn";
-      break;
-    case NormKind::kInstance:
-      graph_.add(name + "_in", std::make_unique<InstanceNorm>(cout), {prev});
-      prev = name + "_in";
-      break;
-    case NormKind::kNone:
-      break;
+  if (opts_.norm == NormKind::kBatch) {
+    graph_.add(name + "_bn", std::make_unique<BatchNorm>(cout), {prev});
+    prev = name + "_bn";
   }
   graph_.add(name + "_relu", std::make_unique<ReLU>(), {prev});
   return name + "_relu";

@@ -25,9 +25,8 @@ namespace dmis::nn {
 
 /// Normalization placed before each ReLU.
 enum class NormKind {
-  kBatch,     ///< Batch norm (the paper's choice).
-  kInstance,  ///< Instance norm (nnU-Net-style; batch-size independent).
-  kNone,      ///< No normalization.
+  kBatch,  ///< Batch norm (the paper's choice).
+  kNone,   ///< No normalization.
 };
 
 struct UNet3dOptions {
@@ -35,14 +34,8 @@ struct UNet3dOptions {
   int64_t out_channels = 1;   ///< Binary whole-tumor mask.
   int64_t base_filters = 8;   ///< Filters at the first resolution step.
   int depth = 4;              ///< Resolution steps (paper: 4).
-  bool batch_norm = true;     ///< Legacy switch: false forces NormKind::kNone.
-  NormKind norm = NormKind::kBatch;  ///< Normalization flavour.
+  NormKind norm = NormKind::kBatch;  ///< Normalization before each ReLU.
   uint64_t seed = 42;         ///< Initializer stream.
-
-  /// Effective normalization after applying the legacy batch_norm flag.
-  NormKind effective_norm() const {
-    return batch_norm ? norm : NormKind::kNone;
-  }
 
   /// The exact configuration benchmarked in the paper.
   static UNet3dOptions paper() { return UNet3dOptions{}; }

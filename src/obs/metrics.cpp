@@ -165,14 +165,6 @@ Histogram& MetricsRegistry::histogram(const std::string& name,
   return *slot;
 }
 
-RollingCounter& MetricsRegistry::rolling_counter(const std::string& name,
-                                                 int64_t window_us) {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  auto& slot = rolling_counters_[name];
-  if (slot == nullptr) slot.reset(new RollingCounter(name, window_us));
-  return *slot;
-}
-
 RollingHistogram& MetricsRegistry::rolling_histogram(
     const std::string& name, std::vector<double> bounds, int64_t window_us) {
   const std::lock_guard<std::mutex> lock(mutex_);
@@ -202,10 +194,6 @@ MetricsSnapshot MetricsRegistry::snapshot() const {
       hv.buckets.push_back(h->bucket_count(i));
     }
     snap.histograms.push_back(std::move(hv));
-  }
-  for (const auto& [name, rc] : rolling_counters_) {
-    snap.rolling_counters.push_back(
-        {name, rc->total(), rc->windowed(), rc->rate_per_sec()});
   }
   for (const auto& [name, rh] : rolling_histograms_) {
     snap.rolling_histograms.push_back({name, rh->windowed_count(),
@@ -244,12 +232,6 @@ void MetricsRegistry::dump_jsonl(std::ostream& os) const {
     }
     os << "]}\n";
   }
-  for (const auto& rc : snap.rolling_counters) {
-    os << "{\"type\":\"rolling_counter\",\"name\":\"";
-    json_escape(os, rc.name);
-    os << "\",\"total\":" << rc.total << ",\"windowed\":" << rc.windowed
-       << ",\"rate_per_sec\":" << rc.rate_per_sec << "}\n";
-  }
   for (const auto& rh : snap.rolling_histograms) {
     os << "{\"type\":\"rolling_histogram\",\"name\":\"";
     json_escape(os, rh.name);
@@ -271,7 +253,6 @@ void MetricsRegistry::reset() {
   for (auto& [name, c] : counters_) c->reset();
   for (auto& [name, g] : gauges_) g->reset();
   for (auto& [name, h] : histograms_) h->reset();
-  for (auto& [name, rc] : rolling_counters_) rc->reset();
   for (auto& [name, rh] : rolling_histograms_) rh->reset();
 }
 

@@ -107,7 +107,6 @@ class Histogram {
   std::atomic<double> sum_{0.0};
 };
 
-class RollingCounter;
 class RollingHistogram;
 
 /// Point-in-time copy of every registered instrument.
@@ -127,12 +126,6 @@ struct MetricsSnapshot {
     std::vector<double> bounds;
     std::vector<int64_t> buckets;  ///< bounds.size() + 1 (overflow last)
   };
-  struct RollingCounterValue {
-    std::string name;
-    int64_t total = 0;     ///< cumulative since registration
-    int64_t windowed = 0;  ///< events inside the window
-    double rate_per_sec = 0.0;
-  };
   struct RollingHistogramValue {
     std::string name;
     int64_t windowed_count = 0;
@@ -144,7 +137,6 @@ struct MetricsSnapshot {
   std::vector<CounterValue> counters;
   std::vector<GaugeValue> gauges;
   std::vector<HistogramValue> histograms;
-  std::vector<RollingCounterValue> rolling_counters;
   std::vector<RollingHistogramValue> rolling_histograms;
 };
 
@@ -169,11 +161,9 @@ class MetricsRegistry {
   Histogram& histogram(const std::string& name,
                        std::vector<double> bounds = default_duration_bounds());
 
-  /// Rolling (fixed-window) instruments — see obs/rolling.hpp. As with
+  /// Rolling (fixed-window) histogram — see obs/rolling.hpp. As with
   /// histogram(), the window/bounds parameters apply only on first
   /// registration.
-  RollingCounter& rolling_counter(const std::string& name,
-                                  int64_t window_us = 60'000'000);
   RollingHistogram& rolling_histogram(
       const std::string& name,
       std::vector<double> bounds = default_duration_bounds(),
@@ -199,7 +189,6 @@ class MetricsRegistry {
   std::map<std::string, std::unique_ptr<Counter>> counters_;
   std::map<std::string, std::unique_ptr<Gauge>> gauges_;
   std::map<std::string, std::unique_ptr<Histogram>> histograms_;
-  std::map<std::string, std::unique_ptr<RollingCounter>> rolling_counters_;
   std::map<std::string, std::unique_ptr<RollingHistogram>> rolling_histograms_;
 };
 

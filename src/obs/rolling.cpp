@@ -19,81 +19,6 @@ int64_t slot_width(int64_t window_us, int slots) {
 
 }  // namespace
 
-RollingCounter::RollingCounter(std::string name, int64_t window_us,
-                               int slots)
-    : name_(std::move(name)),
-      slot_us_(slot_width(window_us, slots)),
-      n_slots_(slots),
-      slots_(static_cast<size_t>(slots), 0),
-      slot_index_(static_cast<size_t>(slots), -1),
-      created_us_(Tracer::now_us()) {}
-
-size_t RollingCounter::advance_locked(int64_t now_us) const {
-  const int64_t abs_slot = now_us / slot_us_;
-  const size_t i = static_cast<size_t>(abs_slot % n_slots_);
-  if (slot_index_[i] != abs_slot) {
-    slots_[i] = 0;
-    slot_index_[i] = abs_slot;
-  }
-  return i;
-}
-
-double RollingCounter::covered_seconds_locked(int64_t now_us) const {
-  const double window_s =
-      static_cast<double>(slot_us_) * n_slots_ / 1e6;
-  const double age_s =
-      static_cast<double>(std::max<int64_t>(now_us - created_us_, slot_us_)) /
-      1e6;
-  return std::min(window_s, age_s);
-}
-
-void RollingCounter::add(int64_t delta) { add_at(Tracer::now_us(), delta); }
-
-void RollingCounter::add_at(int64_t now_us, int64_t delta) {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  slots_[advance_locked(now_us)] += delta;
-  total_ += delta;
-}
-
-int64_t RollingCounter::total() const {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  return total_;
-}
-
-int64_t RollingCounter::windowed() const {
-  return windowed_at(Tracer::now_us());
-}
-
-int64_t RollingCounter::windowed_at(int64_t now_us) const {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  const int64_t abs_slot = now_us / slot_us_;
-  int64_t sum = 0;
-  for (size_t i = 0; i < slots_.size(); ++i) {
-    if (slot_index_[i] >= 0 && abs_slot - slot_index_[i] < n_slots_ &&
-        slot_index_[i] <= abs_slot) {
-      sum += slots_[i];
-    }
-  }
-  return sum;
-}
-
-double RollingCounter::rate_per_sec() const {
-  return rate_at(Tracer::now_us());
-}
-
-double RollingCounter::rate_at(int64_t now_us) const {
-  const int64_t windowed = windowed_at(now_us);
-  const std::lock_guard<std::mutex> lock(mutex_);
-  return static_cast<double>(windowed) / covered_seconds_locked(now_us);
-}
-
-void RollingCounter::reset() {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  std::fill(slots_.begin(), slots_.end(), 0);
-  std::fill(slot_index_.begin(), slot_index_.end(), -1);
-  total_ = 0;
-}
-
 RollingHistogram::RollingHistogram(std::string name,
                                    std::vector<double> bounds,
                                    int64_t window_us, int slots)

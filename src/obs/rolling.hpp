@@ -1,13 +1,12 @@
-// Rolling time-series instruments: fixed-window counters and histograms.
+// Rolling time-series instrument: a fixed-window histogram.
 //
 // The registry instruments in metrics.hpp are cumulative — perfect for
 // post-mortem reconciliation, useless for "what is happening *now*" in
-// a multi-hour sweep. RollingCounter and RollingHistogram cover the
-// live side: each keeps a ring of fixed-width time slots spanning a
-// window (default 60 s in 12 slots) and answers windowed queries —
-// events/sec over the window, streaming quantiles of the last minute's
-// observations — that feed the /metrics exporter, the straggler
-// detector and dmis_top.
+// a multi-hour sweep. RollingHistogram covers the live side: it keeps a
+// ring of fixed-width time slots spanning a window (default 60 s in 12
+// slots) and answers windowed queries — observations/sec over the
+// window, streaming quantiles of the last minute's observations — that
+// feed the /metrics exporter, the straggler detector and dmis_top.
 //
 // Updates and queries take a per-instrument mutex; both are O(slots).
 // That is deliberate: rolling instruments sit at step/request
@@ -15,10 +14,10 @@
 // of locking buys exact window semantics that are trivially race-free
 // under TSan. The cumulative hot-path instruments stay lock-free.
 //
-// Register through MetricsRegistry::rolling_counter() /
-// rolling_histogram() to have them exported (Prometheus text, JSONL
-// dump, flight recorder), or construct standalone instances for local
-// use (the straggler detector's per-rank decision state).
+// Register through MetricsRegistry::rolling_histogram() to have it
+// exported (Prometheus text, JSONL dump, flight recorder), or construct
+// standalone instances for local use (the straggler detector's per-rank
+// decision state).
 //
 // Every method has an `_at(now_us, ...)` twin taking an explicit
 // timestamp so tests can drive the window deterministically; the
@@ -34,50 +33,6 @@ namespace dmis::obs {
 
 inline constexpr int64_t kDefaultRollingWindowUs = 60'000'000;  // 60 s
 inline constexpr int kDefaultRollingSlots = 12;                 // 5 s each
-
-/// Windowed event counter: add() lands in the current time slot; slots
-/// older than the window are forgotten as time advances.
-class RollingCounter {
- public:
-  explicit RollingCounter(std::string name,
-                          int64_t window_us = kDefaultRollingWindowUs,
-                          int slots = kDefaultRollingSlots);
-
-  void add(int64_t delta = 1);
-  void add_at(int64_t now_us, int64_t delta = 1);
-
-  /// Cumulative total since construction (never forgotten).
-  int64_t total() const;
-
-  /// Sum of the slots still inside the window.
-  int64_t windowed() const;
-  int64_t windowed_at(int64_t now_us) const;
-
-  /// windowed() divided by the covered span — the window, or the
-  /// instrument's age while younger than one window (so early rates
-  /// are not diluted by empty future slots).
-  double rate_per_sec() const;
-  double rate_at(int64_t now_us) const;
-
-  const std::string& name() const { return name_; }
-
- private:
-  friend class MetricsRegistry;
-  void reset();
-
-  /// Zeroes slots the clock has moved past; returns the current slot.
-  size_t advance_locked(int64_t now_us) const;
-  double covered_seconds_locked(int64_t now_us) const;
-
-  std::string name_;
-  int64_t slot_us_;
-  int n_slots_;
-  mutable std::mutex mutex_;
-  mutable std::vector<int64_t> slots_;       // count per slot
-  mutable std::vector<int64_t> slot_index_;  // absolute slot id per slot
-  int64_t created_us_;
-  int64_t total_ = 0;
-};
 
 /// Windowed fixed-bucket histogram with streaming quantile queries.
 /// Bucket semantics match obs::Histogram (bounds are ascending upper
@@ -97,7 +52,9 @@ class RollingHistogram {
   int64_t windowed_count() const;
   int64_t windowed_count_at(int64_t now_us) const;
 
-  /// Observations/sec over the covered span (see RollingCounter).
+  /// Observations/sec over the covered span: the window, or the
+  /// instrument's age while younger than one window (so early rates
+  /// are not diluted by empty future slots).
   double rate_per_sec() const;
   double rate_at(int64_t now_us) const;
 

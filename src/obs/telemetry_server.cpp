@@ -154,18 +154,6 @@ std::string TelemetryServer::render_metrics() {
     f.samples.push_back(fam + "_count" + label_block(rank) + ' ' +
                         std::to_string(h.count));
   }
-  for (const auto& rc : snap.rolling_counters) {
-    const std::string fam = prometheus_metric_name(rc.name, rank);
-    const std::string lbl = label_block(rank);
-    Family& total = families[fam + "_total"];
-    total.type = "counter";
-    total.samples.push_back(fam + "_total" + lbl + ' ' +
-                            std::to_string(rc.total));
-    Family& rate = families[fam + "_rate"];
-    rate.type = "gauge";
-    rate.samples.push_back(fam + "_rate" + lbl + ' ' +
-                           fmt_num(rc.rate_per_sec));
-  }
   for (const auto& rh : snap.rolling_histograms) {
     const std::string fam = prometheus_metric_name(rh.name, rank);
     const std::string lbl = label_block(rank);

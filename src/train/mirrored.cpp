@@ -95,6 +95,9 @@ MirroredStrategy::MirroredStrategy(const nn::UNet3dOptions& model_options,
       impl_(std::make_unique<Impl>()) {
   DMIS_CHECK(options.num_replicas >= 1,
              "need >= 1 replica, got " << options.num_replicas);
+  DMIS_CHECK(options.train.checkpoint_path.empty(),
+             "MirroredStrategy does not checkpoint; train.checkpoint_path "
+             "must be empty");
   const int r = options.num_replicas;
   replicas_.reserve(static_cast<size_t>(r));
   for (int i = 0; i < r; ++i) {

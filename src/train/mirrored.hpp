@@ -57,7 +57,7 @@
 // Batch-norm note: like the TF strategy (without SyncBatchNorm), batch
 // statistics are computed per replica on its local shard; running stats
 // therefore diverge slightly across replicas, and evaluation uses
-// replica 0. With batch_norm disabled the strategy is numerically
+// replica 0. With batch norm disabled the strategy is numerically
 // equivalent to single-device training on the global batch (tested).
 #pragma once
 

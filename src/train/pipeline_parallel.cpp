@@ -13,6 +13,9 @@ PipelineParallelStrategy::PipelineParallelStrategy(
     : options_(options),
       model_(model_options, options.num_microbatches) {
   DMIS_CHECK(options.train.epochs >= 1, "epochs must be >= 1");
+  DMIS_CHECK(options.train.checkpoint_path.empty(),
+             "PipelineParallelStrategy does not checkpoint; "
+             "train.checkpoint_path must be empty");
   loss_ = nn::make_loss(options.train.loss);
   optimizer_ = std::make_unique<nn::Adam>(model_.params(), options.train.lr);
   if (options.train.cyclic.has_value()) {

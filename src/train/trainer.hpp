@@ -34,14 +34,9 @@ struct TrainOptions {
   std::string loss = "dice";           ///< "dice" | "qdice"
   std::optional<CyclicLrSpec> cyclic;  ///< unset -> constant lr
   /// When set (and a validation stream exists), the parameters are
-  /// checkpointed here every time validation Dice improves.
+  /// checkpointed here every time validation Dice improves. Only Trainer
+  /// honours it; the multi-replica strategies reject a non-empty path.
   std::string checkpoint_path;
-  /// Stop when val Dice has not improved for this many epochs (0 = off).
-  int64_t early_stop_patience = 0;
-  /// Accumulate gradients over this many consecutive batches before
-  /// each optimizer step — the single-device answer to the paper's
-  /// memory-capped batch sizes (effective batch = batch x this).
-  int64_t grad_accumulation = 1;
 };
 
 struct EpochStats {

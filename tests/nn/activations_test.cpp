@@ -22,9 +22,9 @@ TEST(ReLUTest, ClampsNegatives) {
 TEST(ReLUTest, BackwardMasks) {
   ReLU relu;
   NDArray in(Shape{3}, std::vector<float>{-1.0F, 2.0F, -3.0F});
-  (void)relu.forward1(in, true);
+  const NDArray out = relu.forward1(in, true);
   NDArray go(Shape{3}, 5.0F);
-  const auto g = relu.backward(go);
+  const auto g = relu.backward1(in, out, go);
   EXPECT_FLOAT_EQ(g[0][0], 0.0F);
   EXPECT_FLOAT_EQ(g[0][1], 5.0F);
   EXPECT_FLOAT_EQ(g[0][2], 0.0F);
@@ -72,9 +72,9 @@ TEST(SigmoidTest, GradCheck) {
 TEST(SigmoidTest, DerivativePeaksAtZero) {
   Sigmoid sig;
   NDArray in(Shape{1}, 0.0F);
-  (void)sig.forward1(in, true);
+  const NDArray out = sig.forward1(in, true);
   NDArray go(Shape{1}, 1.0F);
-  const auto g = sig.backward(go);
+  const auto g = sig.backward1(in, out, go);
   EXPECT_FLOAT_EQ(g[0][0], 0.25F);
 }
 

@@ -74,7 +74,7 @@ TEST_P(Col2imGemmConv3d, InputGradientMatchesUnfusedPairBitwise) {
   const NDArray in = random_array(Shape{n_batch, s.cin, s.d, s.h, s.w}, 8);
   const NDArray out = conv.forward1(in, true);
   const NDArray grad = random_array(out.shape(), 9);
-  const NDArray got = conv.backward(grad).front();
+  const NDArray got = conv.backward1(in, out, grad).front();
 
   NDArray want(in.shape());
   const int64_t vol = s.d * s.h * s.w;
@@ -120,8 +120,9 @@ TEST_P(Col2imGemmConv3d, WeightGradientMatchesIm2colSgemmBitwise) {
   grad_weight = random_array(grad_weight.shape(), 11);
   NDArray want = grad_weight;
   const NDArray in = random_array(Shape{n_batch, s.cin, s.d, s.h, s.w}, 8);
-  const NDArray grad = random_array(conv.forward1(in, true).shape(), 9);
-  conv.backward(grad);
+  const NDArray out = conv.forward1(in, true);
+  const NDArray grad = random_array(out.shape(), 9);
+  conv.backward1(in, out, grad);
 
   const int64_t vol = s.d * s.h * s.w;
   for (int64_t n = 0; n < n_batch; ++n) {
@@ -174,8 +175,9 @@ TEST_P(Col2imGemmConvTranspose3d, BackwardMatchesIm2colSgemmBitwise) {
   grad_weight = random_array(grad_weight.shape(), 11);
   NDArray want_gw = grad_weight;
   const NDArray in = random_array(Shape{n_batch, s.cin, s.d, s.h, s.w}, 8);
-  const NDArray grad = random_array(up.forward1(in, true).shape(), 9);
-  const NDArray got_gi = up.backward(grad).front();
+  const NDArray out = up.forward1(in, true);
+  const NDArray grad = random_array(out.shape(), 9);
+  const NDArray got_gi = up.backward1(in, out, grad).front();
 
   NDArray want_gi(in.shape());
   const int64_t vol = s.d * s.h * s.w, out_vol = 8 * vol;

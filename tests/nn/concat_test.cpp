@@ -40,10 +40,12 @@ TEST(ConcatTest, BackwardSplitsGradient) {
   NDArray a(Shape{1, 1, 1, 1, 2}, 0.0F);
   NDArray b(Shape{1, 2, 1, 1, 2}, 0.0F);
   const NDArray* ins[2] = {&a, &b};
-  (void)cat.forward(std::span<const NDArray* const>(ins, 2), true);
+  const NDArray out =
+      cat.forward(std::span<const NDArray* const>(ins, 2), true);
   NDArray go(Shape{1, 3, 1, 1, 2});
   for (int64_t i = 0; i < 6; ++i) go[i] = static_cast<float>(i);
-  const auto grads = cat.backward(go);
+  const auto grads =
+      cat.backward(std::span<const NDArray* const>(ins, 2), out, go);
   ASSERT_EQ(grads.size(), 2U);
   EXPECT_EQ(grads[0].shape(), a.shape());
   EXPECT_EQ(grads[1].shape(), b.shape());

@@ -61,7 +61,8 @@ void expect_reference_parity(Layer& layer, ConvGeometry geom,
   testing::fill_uniform(grad_out, rng, -1.0F, 1.0F);
   const std::vector<Param> params = layer.params();
   for (const Param& p : params) p.grad->zero();
-  const NDArray grad_input = std::move(layer.backward(grad_out).front());
+  const NDArray grad_input =
+      std::move(layer.backward1(input, output, grad_out).front());
 
   const ReferenceRun ref = run_reference(layer, input, *params[0].value,
                                          *params[1].value, grad_out, geom);

@@ -5,13 +5,23 @@
 namespace dmis::nn::testing {
 namespace {
 
-double probe(Module& module, const std::vector<NDArray>& inputs,
-             const NDArray& coeffs, bool training) {
+std::vector<const NDArray*> pointers(const std::vector<NDArray>& inputs) {
   std::vector<const NDArray*> ptrs;
   ptrs.reserve(inputs.size());
   for (const auto& t : inputs) ptrs.push_back(&t);
-  const NDArray out = module.forward(
+  return ptrs;
+}
+
+NDArray run_forward(Module& module, const std::vector<NDArray>& inputs,
+                    bool training) {
+  const std::vector<const NDArray*> ptrs = pointers(inputs);
+  return module.forward(
       std::span<const NDArray* const>(ptrs.data(), ptrs.size()), training);
+}
+
+double probe(Module& module, const std::vector<NDArray>& inputs,
+             const NDArray& coeffs, bool training) {
+  const NDArray out = run_forward(module, inputs, training);
   EXPECT_EQ(out.shape(), coeffs.shape());
   double acc = 0.0;
   for (int64_t i = 0; i < out.numel(); ++i) {
@@ -54,18 +64,15 @@ void expect_gradients_match_on(Module& module, std::vector<NDArray> inputs,
   Rng rng(opts.seed ^ 0xABCDEF);
 
   // One forward to learn the output shape, then fixed coefficients.
-  std::vector<const NDArray*> ptrs;
-  for (const auto& t : inputs) ptrs.push_back(&t);
-  const NDArray out0 = module.forward(
-      std::span<const NDArray* const>(ptrs.data(), ptrs.size()),
-      opts.training);
-  NDArray coeffs(out0.shape());
+  const NDArray out = run_forward(module, inputs, opts.training);
+  NDArray coeffs(out.shape());
   fill_uniform(coeffs, rng, -1.0F, 1.0F);
 
   // Analytic gradients. Parameter grads accumulate, so clear them first.
   for (Param& p : module.params()) p.grad->zero();
-  (void)probe(module, inputs, coeffs, opts.training);
-  const std::vector<NDArray> analytic_inputs = module.backward(coeffs);
+  const std::vector<const NDArray*> ptrs = pointers(inputs);
+  const std::vector<NDArray> analytic_inputs = module.backward(
+      std::span<const NDArray* const>(ptrs.data(), ptrs.size()), out, coeffs);
   ASSERT_EQ(analytic_inputs.size(), inputs.size());
 
   std::vector<NDArray> analytic_params;

@@ -18,19 +18,22 @@ class Doubler final : public Module {
   NDArray forward(std::span<const NDArray* const> inputs, bool) override {
     NDArray out = *inputs[0];
     out.scale_(2.0F);
-    shape_ = out.shape();
     return out;
   }
-  std::vector<NDArray> backward(const NDArray& go) override {
+  std::vector<NDArray> backward(std::span<const NDArray* const> inputs,
+                                const NDArray& out,
+                                const NDArray& go) override {
+    // The graph hands back the forward's own input and output.
+    EXPECT_EQ(inputs.size(), 1U);
+    for (int64_t i = 0; i < out.numel(); ++i) {
+      EXPECT_EQ(out[i], 2.0F * (*inputs[0])[i]);
+    }
     NDArray gi = go;
     gi.scale_(2.0F);
     std::vector<NDArray> v;
     v.push_back(std::move(gi));
     return v;
   }
-
- private:
-  Shape shape_;
 };
 
 // y = a + b, for multi-input graph topology tests.
@@ -43,7 +46,8 @@ class Adder final : public Module {
     out.add_(*inputs[1]);
     return out;
   }
-  std::vector<NDArray> backward(const NDArray& go) override {
+  std::vector<NDArray> backward(std::span<const NDArray* const>,
+                                const NDArray&, const NDArray& go) override {
     std::vector<NDArray> v;
     v.push_back(go);
     v.push_back(go);
@@ -153,6 +157,38 @@ TEST(GraphTest, BackwardMultiRejectsBadSeeds) {
   EXPECT_THROW(g.backward_multi({{"d", nullptr}}), InvalidArgument);
   NDArray ok(Shape{2}, 1.0F);
   EXPECT_THROW(g.backward_multi({{"nope", &ok}}), InvalidArgument);
+}
+
+// The graph owns the activations, so it also owns the precondition that
+// backward follows a training forward: an inference forward does not
+// prepare one, even after an earlier training forward.
+TEST(GraphTest, BackwardAfterInferenceForwardThrows) {
+  Rng rng(1);
+  Graph g;
+  g.add_input("x");
+  g.add("conv", std::make_unique<Conv3d>(2, 3, 3, 1, 1, rng), {"x"});
+  g.set_output("conv");
+  NDArray x(Shape{1, 2, 4, 4, 4}, 0.5F);
+  const NDArray go(g.forward({{"x", &x}}, false).shape(), 1.0F);
+  EXPECT_THROW(g.backward(go), InvalidArgument);
+  (void)g.forward({{"x", &x}}, true);
+  (void)g.forward({{"x", &x}}, false);
+  EXPECT_THROW(g.backward(go), InvalidArgument);
+  EXPECT_THROW(g.backward_multi({{"conv", &go}}), InvalidArgument);
+  (void)g.forward({{"x", &x}}, true);
+  EXPECT_NO_THROW(g.backward(go));
+}
+
+TEST(GraphTest, BackwardWithoutForwardThrows) {
+  Graph g;
+  g.add_input("x");
+  g.add("d", std::make_unique<Doubler>(), {"x"});
+  g.set_output("d");
+  const NDArray go(Shape{2}, 1.0F);
+  EXPECT_THROW(g.backward(go), InvalidArgument);
+  // A forward that failed part-way leaves nothing to differentiate either.
+  EXPECT_THROW(g.forward({}, true), InvalidArgument);
+  EXPECT_THROW(g.backward(go), InvalidArgument);
 }
 
 TEST(GraphTest, CheckpointParamsIncludeState) {

@@ -1,7 +1,7 @@
 // A rank's intra-op share changes how many chunks each parallel_for
 // splits into, never the numbers: forward and backward of the U-Nets the
 // training benchmarks run are bitwise equal at shares 1, 2 and the whole
-// pool, across batch and instance norm, max-pooling and the three conv
+// pool, through batch norm, max-pooling and the three conv
 // kernels (implicit GEMM forward and weight gradient, fused col2im GEMM).
 #include <gtest/gtest.h>
 
@@ -21,7 +21,6 @@ struct NetCase {
   const char* name;
   int64_t base_filters;
   Shape input;
-  NormKind norm;
 };
 
 struct Pass {
@@ -43,7 +42,6 @@ Pass run_at_share(const NetCase& c, int share) {
     opts.out_channels = 1;
     opts.base_filters = c.base_filters;
     opts.depth = 3;
-    opts.norm = c.norm;
     opts.seed = 7;
     UNet3d net(opts);
     Rng rng(13);
@@ -90,16 +88,12 @@ TEST_P(IntraOpShareInvariance, ForwardAndGradientsAreBitwiseEqual) {
 
 // train_fullvol: 4 filters on 16x32x32 volumes; train_widepatch: 24
 // filters on 8x8x8 patches. Both with 4 modalities, depth 3, and a
-// batch of 2 so the norms reduce over more than one sample.
+// batch of 2 so batch norm reduces over more than one sample.
 INSTANTIATE_TEST_SUITE_P(
     BenchNets, IntraOpShareInvariance,
     ::testing::Values(
-        NetCase{"fullvol_batch", 4, Shape{2, 4, 16, 32, 32}, NormKind::kBatch},
-        NetCase{"fullvol_instance", 4, Shape{2, 4, 16, 32, 32},
-                NormKind::kInstance},
-        NetCase{"widepatch_batch", 24, Shape{2, 4, 8, 8, 8}, NormKind::kBatch},
-        NetCase{"widepatch_instance", 24, Shape{2, 4, 8, 8, 8},
-                NormKind::kInstance}),
+        NetCase{"fullvol_batch", 4, Shape{2, 4, 16, 32, 32}},
+        NetCase{"widepatch_batch", 24, Shape{2, 4, 8, 8, 8}}),
     [](const ::testing::TestParamInfo<NetCase>& info) {
       return std::string(info.param.name);
     });

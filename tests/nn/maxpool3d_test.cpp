@@ -40,10 +40,10 @@ TEST(MaxPool3dTest, BackwardRoutesGradientToArgmaxOnly) {
   MaxPool3d pool(2, 2);
   NDArray in(Shape{1, 1, 2, 2, 2});
   for (int64_t i = 0; i < 8; ++i) in[i] = static_cast<float>(i);
-  (void)pool.forward1(in, true);
+  const NDArray out = pool.forward1(in, true);
   NDArray go(Shape{1, 1, 1, 1, 1});
   go[0] = 3.0F;
-  const auto grads = pool.backward(go);
+  const auto grads = pool.backward1(in, out, go);
   ASSERT_EQ(grads.size(), 1U);
   for (int64_t i = 0; i < 8; ++i) {
     EXPECT_FLOAT_EQ(grads[0][i], i == 7 ? 3.0F : 0.0F);

@@ -17,7 +17,7 @@ UNet3dOptions tiny(bool batch_norm = false, uint64_t seed = 21) {
   opts.base_filters = 2;
   opts.depth = 3;  // two skips cross the stage cut
   opts.seed = seed;
-  opts.batch_norm = batch_norm;
+  opts.norm = batch_norm ? NormKind::kBatch : NormKind::kNone;
   return opts;
 }
 

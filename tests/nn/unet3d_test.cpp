@@ -147,15 +147,11 @@ INSTANTIATE_TEST_SUITE_P(
     Configs, UNet3dConfigSweep,
     ::testing::Values(
         UNetConfig{.depth = 2, .base_filters = 2, .norm = NormKind::kBatch},
-        UNetConfig{.depth = 2, .base_filters = 4, .norm = NormKind::kInstance},
         UNetConfig{.depth = 2, .base_filters = 2, .norm = NormKind::kNone},
         UNetConfig{.depth = 3, .base_filters = 2, .norm = NormKind::kBatch},
-        UNetConfig{.depth = 3, .base_filters = 2, .norm = NormKind::kInstance},
         UNetConfig{.depth = 4, .base_filters = 2, .norm = NormKind::kNone}),
     [](const ::testing::TestParamInfo<UNetConfig>& info) {
-      const char* norm = info.param.norm == NormKind::kBatch ? "bn"
-                         : info.param.norm == NormKind::kInstance ? "in"
-                                                                  : "none";
+      const char* norm = info.param.norm == NormKind::kBatch ? "bn" : "none";
       return "d" + std::to_string(info.param.depth) + "f" +
              std::to_string(info.param.base_filters) + "_" + norm;
     });

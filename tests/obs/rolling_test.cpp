@@ -17,39 +17,38 @@ constexpr int64_t kWindowUs = 10'000'000;  // 10 s in 10 slots of 1 s
 constexpr int kSlots = 10;
 constexpr int64_t kSlotUs = kWindowUs / kSlots;
 
-TEST(RollingCounterTest, WindowForgetsOldSlots) {
-  RollingCounter c("test.rc", kWindowUs, kSlots);
-  c.add_at(1 * kSlotUs, 5);
-  c.add_at(2 * kSlotUs, 7);
-  EXPECT_EQ(c.windowed_at(2 * kSlotUs), 12);
-  EXPECT_EQ(c.total(), 12);
+TEST(RollingHistogramTest, WindowForgetsOldSlots) {
+  RollingHistogram h("test.rh_forget", {10.0}, kWindowUs, kSlots);
+  for (int i = 0; i < 5; ++i) h.observe_at(1 * kSlotUs, 1.0);
+  for (int i = 0; i < 7; ++i) h.observe_at(2 * kSlotUs, 1.0);
+  EXPECT_EQ(h.windowed_count_at(2 * kSlotUs), 12);
 
   // Advance just past the window: slot 1 fell out, slot 2 remains.
-  EXPECT_EQ(c.windowed_at((1 + kSlots) * kSlotUs), 7);
-  // Far future: everything forgotten, total still cumulative.
-  EXPECT_EQ(c.windowed_at(100 * kSlotUs), 0);
-  EXPECT_EQ(c.total(), 12);
+  EXPECT_EQ(h.windowed_count_at((1 + kSlots) * kSlotUs), 7);
+  // Far future: everything forgotten.
+  EXPECT_EQ(h.windowed_count_at(100 * kSlotUs), 0);
 }
 
-TEST(RollingCounterTest, SlotReuseZeroesStaleCounts) {
-  RollingCounter c("test.rc2", kWindowUs, kSlots);
-  c.add_at(3 * kSlotUs, 100);
+TEST(RollingHistogramTest, SlotReuseZeroesStaleCounts) {
+  RollingHistogram h("test.rh_reuse", {10.0}, kWindowUs, kSlots);
+  for (int i = 0; i < 100; ++i) h.observe_at(3 * kSlotUs, 1.0);
   // Same ring index one full revolution later must not inherit the 100.
-  c.add_at((3 + kSlots) * kSlotUs, 1);
-  EXPECT_EQ(c.windowed_at((3 + kSlots) * kSlotUs), 1);
+  h.observe_at((3 + kSlots) * kSlotUs, 1.0);
+  EXPECT_EQ(h.windowed_count_at((3 + kSlots) * kSlotUs), 1);
+  EXPECT_EQ(h.windowed_buckets_at((3 + kSlots) * kSlotUs)[0], 1);
 }
 
-TEST(RollingCounterTest, RateUsesCoveredSpan) {
+TEST(RollingHistogramTest, RateUsesCoveredSpan) {
   // Rates divide by covered time = min(window, instrument age), so the
   // timestamps here must be anchored at the real construction time.
   const int64_t t0 = Tracer::now_us();
-  RollingCounter c("test.rc3", kWindowUs, kSlots);
-  // 50 events in the first slot of life: the denominator clamps to one
-  // slot width, not the whole empty window.
-  c.add_at(t0 + kSlotUs / 2, 50);
-  EXPECT_GE(c.rate_at(t0 + kSlotUs / 2), 45.0);
+  RollingHistogram h("test.rh_rate", {10.0}, kWindowUs, kSlots);
+  // 50 observations in the first slot of life: the denominator clamps
+  // to one slot width, not the whole empty window.
+  for (int i = 0; i < 50; ++i) h.observe_at(t0 + kSlotUs / 2, 1.0);
+  EXPECT_GE(h.rate_at(t0 + kSlotUs / 2), 45.0);
   // Nine slots later the covered span has grown to ~9 s: 50/9 ~ 5.6.
-  EXPECT_NEAR(c.rate_at(t0 + kWindowUs - kSlotUs), 50.0 / 9.0, 1.0);
+  EXPECT_NEAR(h.rate_at(t0 + kWindowUs - kSlotUs), 50.0 / 9.0, 1.0);
 }
 
 TEST(RollingHistogramTest, QuantilesTrackTheWindow) {
@@ -87,7 +86,6 @@ TEST(RollingHistogramTest, WindowedBucketsMergeLiveSlotsOnly) {
 
 TEST(RollingTest, ConcurrentAddersAndReadersAreExact) {
   // Default 60 s window: nothing expires mid-test.
-  RollingCounter c("test.rc4");
   RollingHistogram h("test.rh3", {1e3, 1e6});
   constexpr int kThreads = 4;
   constexpr int kPerThread = 20000;
@@ -95,37 +93,34 @@ TEST(RollingTest, ConcurrentAddersAndReadersAreExact) {
   threads.reserve(kThreads + 2);
   for (int t = 0; t < kThreads; ++t) {
     threads.emplace_back([&] {
-      for (int i = 0; i < kPerThread; ++i) {
-        c.add(1);
-        h.observe(500.0);
-      }
+      for (int i = 0; i < kPerThread; ++i) h.observe(500.0);
     });
   }
   // Concurrent readers (the scrape path) must race cleanly under TSan.
   for (int t = 0; t < 2; ++t) {
     threads.emplace_back([&] {
       for (int i = 0; i < 2000; ++i) {
-        (void)c.rate_per_sec();
+        (void)h.rate_per_sec();
         (void)h.quantile(0.5);
       }
     });
   }
   for (auto& t : threads) t.join();
-  EXPECT_EQ(c.total(), int64_t{kThreads} * kPerThread);
-  EXPECT_EQ(c.windowed(), int64_t{kThreads} * kPerThread);
   EXPECT_EQ(h.windowed_count(), int64_t{kThreads} * kPerThread);
+  EXPECT_EQ(h.windowed_buckets()[0], int64_t{kThreads} * kPerThread);
 }
 
 TEST(RollingTest, RegistryRegistrationIsFirstWinsAndStable) {
   auto& reg = MetricsRegistry::instance();
-  RollingCounter& a = reg.rolling_counter("test.reg_rc");
-  RollingCounter& b = reg.rolling_counter("test.reg_rc", 5'000'000);
-  EXPECT_EQ(&a, &b);
   RollingHistogram& ha = reg.rolling_histogram("test.reg_rh");
-  RollingHistogram& hb = reg.rolling_histogram("test.reg_rh");
+  RollingHistogram& hb =
+      reg.rolling_histogram("test.reg_rh", {1.0}, 5'000'000);
   EXPECT_EQ(&ha, &hb);
+  EXPECT_EQ(hb.bounds(), default_duration_bounds());
+  ha.observe(3.0);
+  EXPECT_EQ(hb.windowed_count(), 1);
   reg.reset();
-  EXPECT_EQ(a.total(), 0);
+  EXPECT_EQ(ha.windowed_count(), 0);
 }
 
 }  // namespace

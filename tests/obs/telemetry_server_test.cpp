@@ -189,13 +189,10 @@ TEST_F(TelemetryServerTest, RenderMetricsIsPrometheusConformant) {
   EXPECT_EQ(inf_value, 4);
   EXPECT_EQ(count_value, inf_value);
 
-  // Rolling instruments surface as *_total/_rate and quantile gauges.
-  reg.rolling_counter("test.scrape.rolling").add(7);
+  // Rolling histograms surface as _rate and quantile gauges.
   reg.rolling_histogram("test.scrape.rhist").observe(50.0);
   const std::string text2 = TelemetryServer::render_metrics();
-  EXPECT_NE(text2.find("dmis_test_scrape_rolling_total 7"),
-            std::string::npos);
-  EXPECT_NE(text2.find("# TYPE dmis_test_scrape_rolling_rate gauge"),
+  EXPECT_NE(text2.find("# TYPE dmis_test_scrape_rhist_rate gauge"),
             std::string::npos);
   EXPECT_NE(text2.find("dmis_test_scrape_rhist_p50 "), std::string::npos);
   EXPECT_NE(text2.find("dmis_test_scrape_rhist_p99 "), std::string::npos);
@@ -285,14 +282,15 @@ TEST_F(TelemetryServerTest, ConcurrentScrapeWhileUpdating) {
       Counter& c = reg.counter("test.race.counter");
       Gauge& g = reg.gauge("test.race.gauge");
       Histogram& h = reg.histogram("test.race.hist.r" + std::to_string(t));
-      RollingCounter& rc = reg.rolling_counter("test.race.rolling");
+      RollingHistogram& rr =
+          reg.rolling_histogram("test.race.rolling.r" + std::to_string(t));
       RollingHistogram& rh = reg.rolling_histogram("test.race.rhist");
       int i = 0;
       while (!stop.load(std::memory_order_relaxed)) {
         c.add(1);
         g.set(static_cast<double>(i));
         h.observe(static_cast<double>(i % 100));
-        rc.add(1);
+        rr.observe(static_cast<double>(i % 10));
         rh.observe(static_cast<double>(i % 1000));
         Tracer::instance().record_instant("test.race.instant");
         ++i;

@@ -46,7 +46,7 @@ nn::UNet3dOptions tiny_model() {
   opts.base_filters = 2;
   opts.depth = 2;
   opts.seed = 11;
-  opts.batch_norm = false;
+  opts.norm = nn::NormKind::kNone;
   return opts;
 }
 

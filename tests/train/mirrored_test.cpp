@@ -44,7 +44,7 @@ nn::UNet3dOptions tiny_model(bool batch_norm) {
   opts.base_filters = 2;
   opts.depth = 2;
   opts.seed = 11;
-  opts.batch_norm = batch_norm;
+  opts.norm = batch_norm ? nn::NormKind::kBatch : nn::NormKind::kNone;
   return opts;
 }
 
@@ -291,6 +291,14 @@ TEST(MirroredStrategyTest, RanksSplitTheirTuneSlotsShare) {
 TEST(MirroredStrategyTest, RejectsBadReplicaCount) {
   MirroredOptions mopt;
   mopt.num_replicas = 0;
+  EXPECT_THROW(MirroredStrategy(tiny_model(false), mopt), InvalidArgument);
+}
+
+// The strategy saves no best-Dice checkpoint, so a path it would ignore
+// is an error rather than a silently missing file.
+TEST(MirroredStrategyTest, RejectsCheckpointPath) {
+  MirroredOptions mopt;
+  mopt.train.checkpoint_path = "best.ckpt";
   EXPECT_THROW(MirroredStrategy(tiny_model(false), mopt), InvalidArgument);
 }
 

@@ -62,7 +62,7 @@ TEST(PipelineParallelStrategyTest, TrainsToConvergence) {
 
 TEST(PipelineParallelStrategyTest, MatchesPlainTrainerWithoutBatchNorm) {
   nn::UNet3dOptions model_opts = tiny_model();
-  model_opts.batch_norm = false;
+  model_opts.norm = nn::NormKind::kNone;
 
   TrainOptions topt;
   topt.epochs = 3;
@@ -107,6 +107,14 @@ TEST(PipelineParallelStrategyTest, RejectsBadOptions) {
   zero_epochs.train.epochs = 0;
   EXPECT_THROW(PipelineParallelStrategy(tiny_model(), zero_epochs),
                InvalidArgument);
+}
+
+// The strategy saves no best-Dice checkpoint, so a path it would ignore
+// is an error rather than a silently missing file.
+TEST(PipelineParallelStrategyTest, RejectsCheckpointPath) {
+  PipelineParallelOptions popt;
+  popt.train.checkpoint_path = "best.ckpt";
+  EXPECT_THROW(PipelineParallelStrategy(tiny_model(), popt), InvalidArgument);
 }
 
 }  // namespace

@@ -41,13 +41,12 @@ std::vector<data::Example> cube_examples(int64_t n, uint64_t seed) {
   return out;
 }
 
-nn::UNet3dOptions tiny_model(uint64_t seed = 7, bool batch_norm = true) {
+nn::UNet3dOptions tiny_model(uint64_t seed = 7) {
   nn::UNet3dOptions opts;
   opts.in_channels = 1;
   opts.base_filters = 2;
   opts.depth = 2;
   opts.seed = seed;
-  opts.batch_norm = batch_norm;
   return opts;
 }
 
@@ -159,52 +158,6 @@ TEST(TrainerTest, CheckpointsBestWeights) {
   std::filesystem::remove(path);
 }
 
-TEST(TrainerTest, EarlyStoppingOnPlateau) {
-  nn::UNet3d model(tiny_model(3));
-  TrainOptions opts;
-  opts.epochs = 100;
-  opts.lr = 1e-9;  // effectively frozen -> immediate plateau
-  opts.early_stop_patience = 3;
-  Trainer trainer(model, opts);
-  data::BatchStream train(data::from_examples(cube_examples(4, 7)), 2);
-  data::BatchStream val(data::from_examples(cube_examples(2, 70)), 2);
-  const TrainReport report = trainer.fit(train, &val);
-  EXPECT_LT(report.history.size(), 10U);  // stopped long before 100
-}
-
-TEST(TrainerTest, GradAccumulationMatchesLargeBatch) {
-  // Batch 4 with accumulation 1 must equal batch 2 with accumulation 2
-  // when the same 4 examples flow in the same order (no batch norm, so
-  // no cross-sample coupling).
-  const auto examples = cube_examples(4, 8);
-  nn::UNet3dOptions mopts = tiny_model(3, /*batch_norm=*/false);
-
-  nn::UNet3d big(mopts);
-  TrainOptions big_opts;
-  big_opts.epochs = 2;
-  big_opts.lr = 1e-3;
-  Trainer big_trainer(big, big_opts);
-  data::BatchStream big_stream(data::from_examples(examples), 4);
-  big_trainer.fit(big_stream, nullptr);
-
-  nn::UNet3d accum(mopts);
-  TrainOptions accum_opts = big_opts;
-  accum_opts.grad_accumulation = 2;
-  Trainer accum_trainer(accum, accum_opts);
-  data::BatchStream accum_stream(data::from_examples(examples), 2);
-  accum_trainer.fit(accum_stream, nullptr);
-
-  auto big_params = big.params();
-  auto accum_params = accum.params();
-  for (size_t i = 0; i < big_params.size(); ++i) {
-    for (int64_t j = 0; j < big_params[i].value->numel(); ++j) {
-      ASSERT_NEAR((*big_params[i].value)[j], (*accum_params[i].value)[j],
-                  2e-4F)
-          << big_params[i].name << " element " << j;
-    }
-  }
-}
-
 TEST(TrainerTest, RejectsBadOptions) {
   nn::UNet3d model(tiny_model());
   TrainOptions opts;
@@ -213,9 +166,6 @@ TEST(TrainerTest, RejectsBadOptions) {
   TrainOptions bad_loss;
   bad_loss.loss = "focal";
   EXPECT_THROW(Trainer(model, bad_loss), InvalidArgument);
-  TrainOptions bad_accum;
-  bad_accum.grad_accumulation = 0;
-  EXPECT_THROW(Trainer(model, bad_accum), InvalidArgument);
 }
 
 }  // namespace
