@@ -3,9 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <memory>
 
 #include "common/check.hpp"
 #include "gradcheck.hpp"
+#include "nn/graph.hpp"
 
 namespace dmis::nn {
 namespace {
@@ -71,6 +73,24 @@ TEST(Conv3dTest, RejectsWrongChannelCount) {
   Conv3d conv(4, 8, 3, 1, 1, rng);
   NDArray in(Shape{1, 3, 8, 8, 8});
   EXPECT_THROW(conv.forward1(in, true), InvalidArgument);
+}
+
+// The layer keeps no input of its own, so backward needs the activations
+// of a training forward from the graph that holds it: after an inference
+// forward there is nothing to differentiate, even when an earlier training
+// forward's activations would still have been around.
+TEST(Conv3dTest, BackwardAfterInferenceForwardThrows) {
+  Rng rng(1);
+  Graph g;
+  g.add_input("x");
+  g.add("conv", std::make_unique<Conv3d>(2, 3, 3, 1, 1, rng), {"x"});
+  g.set_output("conv");
+  NDArray in(Shape{1, 2, 4, 4, 4}, 0.5F);
+  const NDArray grad(g.forward({{"x", &in}}, false).shape(), 1.0F);
+  EXPECT_THROW(g.backward(grad), InvalidArgument);
+  (void)g.forward({{"x", &in}}, true);
+  (void)g.forward({{"x", &in}}, false);
+  EXPECT_THROW(g.backward(grad), InvalidArgument);
 }
 
 TEST(Conv3dTest, InferenceForwardLeavesTrainingBackwardUnchanged) {

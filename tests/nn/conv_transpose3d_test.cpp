@@ -3,9 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <memory>
 
 #include "common/check.hpp"
 #include "gradcheck.hpp"
+#include "nn/graph.hpp"
 
 namespace dmis::nn {
 namespace {
@@ -58,6 +60,21 @@ TEST(ConvTranspose3dTest, RejectsWrongChannels) {
   ConvTranspose3d up(4, 4, 2, 2, rng);
   NDArray in(Shape{1, 2, 2, 2, 2});
   EXPECT_THROW(up.forward1(in, true), InvalidArgument);
+}
+
+// Backward needs a training forward's activations (see Conv3dTest's pair).
+TEST(ConvTranspose3dTest, BackwardAfterInferenceForwardThrows) {
+  Rng rng(1);
+  Graph g;
+  g.add_input("x");
+  g.add("up", std::make_unique<ConvTranspose3d>(2, 3, 2, 2, rng), {"x"});
+  g.set_output("up");
+  NDArray in(Shape{1, 2, 2, 3, 2}, 0.5F);
+  const NDArray grad(g.forward({{"x", &in}}, false).shape(), 1.0F);
+  EXPECT_THROW(g.backward(grad), InvalidArgument);
+  (void)g.forward({{"x", &in}}, true);
+  (void)g.forward({{"x", &in}}, false);
+  EXPECT_THROW(g.backward(grad), InvalidArgument);
 }
 
 TEST(ConvTranspose3dTest, InferenceForwardLeavesTrainingBackwardUnchanged) {
