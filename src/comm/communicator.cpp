@@ -6,13 +6,13 @@
 #include <sstream>
 #include <utility>
 
-#include "comm/algorithms.hpp"
 #include "common/check.hpp"
 #include "common/env.hpp"
 #include "common/fault_injector.hpp"
 #include "obs/flight_recorder.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
+#include "tensor/thread_pool.hpp"
 
 namespace dmis::comm {
 namespace {
@@ -35,26 +35,22 @@ struct CommMetrics {
   obs::Counter& allreduce_calls;
   obs::Counter& allreduce_bytes;
   obs::Counter& broadcast_bytes;
-  obs::Counter& all_gather_bytes;
   obs::Counter& async_submissions;
   obs::Counter& timeouts;
   obs::Counter& aborts;
   obs::Counter& fenced;
   obs::Gauge& async_inflight;
-  obs::Histogram& barrier_wait_us;
 
   static CommMetrics& get() {
     auto& reg = obs::MetricsRegistry::instance();
     static CommMetrics m{reg.counter("comm.allreduce_calls"),
                          reg.counter("comm.allreduce_bytes"),
                          reg.counter("comm.broadcast_bytes"),
-                         reg.counter("comm.all_gather_bytes"),
                          reg.counter("comm.async.submissions"),
                          reg.counter("comm.timeouts"),
                          reg.counter("comm.aborts"),
                          reg.counter("comm.fenced"),
-                         reg.gauge("comm.async.inflight"),
-                         reg.histogram("comm.barrier_wait_us")};
+                         reg.gauge("comm.async.inflight")};
     return m;
   }
 };
@@ -123,15 +119,11 @@ CollectiveContext::CollectiveContext(int size, int64_t timeout_ms)
                       ? env_int("DMIS_COMM_TIMEOUT_MS", 0).value_or(0)
                       : timeout_ms),
       ptrs_(static_cast<size_t>(size), nullptr),
-      cptrs_(static_cast<size_t>(size), nullptr),
       sizes_(static_cast<size_t>(size), 0),
       rank_state_(static_cast<size_t>(size)),
-      agree_joined_(static_cast<size_t>(size), false) {
+      agree_joined_(static_cast<size_t>(size), false),
+      workers_(static_cast<size_t>(size)) {
   DMIS_CHECK(size >= 1, "communicator group needs >= 1 rank, got " << size);
-  queues_.reserve(static_cast<size_t>(size));
-  for (int r = 0; r < size; ++r) {
-    queues_.push_back(std::make_unique<RankQueue>());
-  }
   static std::atomic<int> next_group_id{0};
   group_id_ = next_group_id.fetch_add(1, std::memory_order_relaxed);
   flight_token_ = obs::FlightRecorder::instance().register_health_provider(
@@ -141,17 +133,6 @@ CollectiveContext::CollectiveContext(int size, int64_t timeout_ms)
 
 CollectiveContext::~CollectiveContext() {
   obs::FlightRecorder::instance().unregister_health_provider(flight_token_);
-  if (!workers_active_.load(std::memory_order_acquire)) return;
-  for (auto& q : queues_) {
-    {
-      // Set under the queue mutex: a worker between its predicate check
-      // and its wait() would otherwise miss the notify and hang join().
-      const std::lock_guard<std::mutex> lock(q->mutex);
-      stopping_.store(true, std::memory_order_release);
-    }
-    q->cv.notify_all();
-  }
-  for (auto& w : workers_) w.join();
 }
 
 std::string CollectiveContext::render_health_json() const {
@@ -200,6 +181,18 @@ void CollectiveContext::throw_poisoned_locked() const {
                                    std::string(comm_error_kind_name(
                                        abort_kind_)) +
                                    "): " + abort_reason_);
+}
+
+void CollectiveContext::publish(int rank, float* data, size_t len) {
+  // Every rank that leaves a collective early has poisoned the group
+  // first, so this check alone keeps its next registration away from
+  // peers still reading the last one.
+  if (aborted()) {
+    const std::lock_guard<std::mutex> lock(barrier_mutex_);
+    throw_poisoned_locked();
+  }
+  ptrs_[static_cast<size_t>(rank)] = data;
+  sizes_[static_cast<size_t>(rank)] = len;
 }
 
 void CollectiveContext::sync(const Deadline& deadline, int rank) {
@@ -290,6 +283,23 @@ void CollectiveContext::sync(const Deadline& deadline, int rank) {
     if (generation_ != gen) return;
     if (aborted_.load(std::memory_order_relaxed)) throw_poisoned_locked();
   }
+}
+
+void CollectiveContext::check_sizes(const char* op, int rank, int ref) {
+  const size_t want = sizes_[static_cast<size_t>(ref)];
+  // Name this rank if it is an odd one out, else the first that is.
+  int bad = sizes_[static_cast<size_t>(rank)] != want ? rank : -1;
+  for (int r = 0; r < size_ && bad < 0; ++r) {
+    if (sizes_[static_cast<size_t>(r)] != want) bad = r;
+  }
+  if (bad < 0) return;
+  const std::string reason =
+      std::string(op) + " size mismatch: rank " + std::to_string(ref) +
+      " has " + std::to_string(want) + ", rank " + std::to_string(bad) +
+      " has " + std::to_string(sizes_[static_cast<size_t>(bad)]);
+  abort(CommErrorKind::kPeerFailed, reason);
+  if (bad == rank) throw InvalidArgument(reason);
+  throw CommError(CommErrorKind::kPeerFailed, reason);
 }
 
 void CollectiveContext::abort(CommErrorKind kind, const std::string& reason) {
@@ -389,54 +399,23 @@ std::vector<int> CollectiveContext::agree_on_failures(int rank,
   return agreed_dead_;
 }
 
-void CollectiveContext::ensure_workers() {
-  std::call_once(workers_once_, [&] {
-    workers_.reserve(static_cast<size_t>(size_));
-    for (int r = 0; r < size_; ++r) {
-      workers_.emplace_back([this, r] { worker_loop(r); });
-    }
-    workers_active_.store(true, std::memory_order_release);
-  });
-}
-
 AsyncRequest CollectiveContext::submit(int rank, std::function<void()> fn) {
-  ensure_workers();
+  std::unique_ptr<ThreadPool>& worker = workers_[static_cast<size_t>(rank)];
+  if (worker == nullptr) worker = std::make_unique<ThreadPool>(1);
   auto state = std::make_shared<AsyncRequest::State>();
   CommMetrics::get().async_submissions.add(1);
   note_async_inflight(+1);
-  auto& q = *queues_[static_cast<size_t>(rank)];
-  {
-    std::lock_guard<std::mutex> lock(q.mutex);
-    q.tasks.push_back(Task{std::move(fn), state});
-  }
-  q.cv.notify_one();
-  return AsyncRequest(state);
-}
-
-void CollectiveContext::worker_loop(int rank) {
-  auto& q = *queues_[static_cast<size_t>(rank)];
-  for (;;) {
-    Task task;
-    {
-      std::unique_lock<std::mutex> lock(q.mutex);
-      q.cv.wait(lock, [&] {
-        return !q.tasks.empty() || stopping_.load(std::memory_order_acquire);
-      });
-      // Drain everything already submitted before honoring a stop, so a
-      // group torn down right after its last wait() completes cleanly.
-      if (q.tasks.empty()) return;
-      task = std::move(q.tasks.front());
-      q.tasks.pop_front();
-    }
+  worker->submit([fn = std::move(fn), state] {
     std::exception_ptr err;
     try {
-      task.fn();
+      fn();
     } catch (...) {
       err = std::current_exception();
     }
     note_async_inflight(-1);
-    task.state->complete(std::move(err));
-  }
+    state->complete(std::move(err));
+  });
+  return AsyncRequest(state);
 }
 
 Communicator::Communicator(std::shared_ptr<CollectiveContext> ctx, int rank)
@@ -456,26 +435,17 @@ std::vector<int> Communicator::agree_on_failures(int64_t grace_ms) {
 }
 
 void Communicator::run_ordered(std::function<void()> fn) {
-  // Once comm workers exist, every collective of this rank must pass
-  // through its FIFO queue: per-rank barrier arrivals then follow
-  // submission order, which keeps rendezvous matched even when async
-  // and blocking collectives interleave.
-  if (ctx_->workers_active()) {
+  // Once this rank's comm worker exists, every collective of the rank
+  // must pass through its FIFO queue: rendezvous arrivals then follow
+  // submission order, which keeps them matched even when async and
+  // blocking collectives interleave. Blocking collectives before the
+  // first async one run inline — the common per-tensor path pays no
+  // thread hand-off.
+  if (ctx_->workers_[static_cast<size_t>(rank_)] != nullptr) {
     ctx_->submit(rank_, std::move(fn)).wait();
   } else {
     fn();
   }
-}
-
-void Communicator::barrier() {
-  run_ordered([this] {
-    DMIS_TRACE_SPAN("comm.barrier");
-    ctx_->beat(rank_);
-    const int64_t t0 = obs::Tracer::now_us();
-    ctx_->sync(ctx_->collective_deadline(), rank_);
-    CommMetrics::get().barrier_wait_us.observe(
-        static_cast<double>(obs::Tracer::now_us() - t0));
-  });
 }
 
 void Communicator::broadcast(std::span<float> data, int root) {
@@ -494,13 +464,9 @@ void Communicator::broadcast_impl(std::span<float> data, int root) {
   auto& ctx = *ctx_;
   ctx.beat(rank_);
   const auto deadline = ctx.collective_deadline();
-  ctx.ptrs_[static_cast<size_t>(rank_)] = data.data();
-  ctx.sizes_[static_cast<size_t>(rank_)] = data.size();
+  ctx.publish(rank_, data.data(), data.size());
   ctx.sync(deadline, rank_);
-  DMIS_CHECK(ctx.sizes_[static_cast<size_t>(root)] == data.size(),
-             "broadcast size mismatch: root has "
-                 << ctx.sizes_[static_cast<size_t>(root)] << ", rank "
-                 << rank_ << " has " << data.size());
+  ctx.check_sizes("broadcast", rank_, root);
   if (rank_ != root) {
     const float* src = ctx.ptrs_[static_cast<size_t>(root)];
     std::memcpy(data.data(), src, data.size() * sizeof(float));
@@ -508,13 +474,8 @@ void Communicator::broadcast_impl(std::span<float> data, int root) {
   ctx.sync(deadline, rank_);
 }
 
-void Communicator::all_reduce_sum(std::span<float> data) {
-  run_ordered([this, data] { all_reduce_impl(data, 1.0F); });
-}
-
-void Communicator::all_reduce_mean(std::span<float> data) {
-  const float inv = 1.0F / static_cast<float>(size());
-  run_ordered([this, data, inv] { all_reduce_impl(data, inv); });
+void Communicator::all_reduce_sum(std::span<float> data, float scale) {
+  run_ordered([this, data, scale] { all_reduce_impl(data, scale); });
 }
 
 AsyncRequest Communicator::all_reduce_sum_async(std::span<float> data,
@@ -540,79 +501,63 @@ void Communicator::all_reduce_impl(std::span<float> data, float scale) {
     }
     return;
   }
+  const size_t len = data.size();
+  float* mine = data.data();
   auto& ctx = *ctx_;
   ctx.beat(rank_);
   const auto deadline = ctx.collective_deadline();
-  ctx.ptrs_[static_cast<size_t>(rank_)] = data.data();
-  ctx.sizes_[static_cast<size_t>(rank_)] = data.size();
+  ctx.publish(rank_, mine, len);
   ctx.sync(deadline, rank_);
-  DMIS_CHECK(ctx.sizes_[0] == data.size(),
-             "all_reduce size mismatch: rank 0 has " << ctx.sizes_[0]
-                                                     << ", rank " << rank_
-                                                     << " has " << data.size());
-  CollectiveOps ops(&ctx, rank_, deadline);
-  ring_all_reduce(ops, data, scale);
-}
+  ctx.check_sizes("all_reduce", rank_, 0);
 
-void Communicator::reduce_sum(std::span<float> data, int root) {
-  run_ordered([this, data, root] { reduce_sum_impl(data, root); });
-}
+  // The chunked ring NCCL uses: reduce-scatter + all-gather, 2(n-1)
+  // steps of len/n elements each, every step closed by a group-wide
+  // sync. Bandwidth-optimal per rank; latency grows linearly in n. The
+  // final sync is what licenses ranks to leave: no peer reads this
+  // rank's buffer after it.
+  const size_t chunk_len =
+      (len + static_cast<size_t>(n) - 1) / static_cast<size_t>(n);
+  const auto chunk_begin = [&](int c) {
+    return std::min(len, static_cast<size_t>(c) * chunk_len);
+  };
+  const auto chunk_end = [&](int c) {
+    return std::min(len, (static_cast<size_t>(c) + 1) * chunk_len);
+  };
+  const float* theirs = ctx.ptrs_[static_cast<size_t>((rank_ - 1 + n) % n)];
 
-void Communicator::reduce_sum_impl(std::span<float> data, int root) {
-  inject("comm.reduce", rank_);
-  DMIS_TRACE_SPAN("comm.reduce",
-                  {{"bytes", static_cast<int64_t>(data.size() *
-                                                  sizeof(float))},
-                   {"root", root}});
-  DMIS_CHECK(root >= 0 && root < size(), "bad reduce root " << root);
-  auto& ctx = *ctx_;
-  ctx.beat(rank_);
-  const auto deadline = ctx.collective_deadline();
-  ctx.ptrs_[static_cast<size_t>(rank_)] = data.data();
-  ctx.sizes_[static_cast<size_t>(rank_)] = data.size();
-  ctx.sync(deadline, rank_);
-  if (rank_ == root) {
-    for (int r = 0; r < size(); ++r) {
-      if (r == root) continue;
-      DMIS_CHECK(ctx.sizes_[static_cast<size_t>(r)] == data.size(),
-                 "reduce size mismatch at rank " << r);
-      const float* src = ctx.ptrs_[static_cast<size_t>(r)];
-      for (size_t k = 0; k < data.size(); ++k) data[k] += src[k];
+  // Phase 1 — reduce-scatter: at step s, rank i accumulates chunk
+  // (i - 1 - s) mod n from its left neighbor. After n-1 steps rank i
+  // holds the complete chunk (i + 1) mod n. The final step completes
+  // that owned chunk, so `scale` lands there fused with the last
+  // accumulation — every element is scaled exactly once, by its owner,
+  // before the all-gather phase propagates it.
+  {
+    DMIS_TRACE_SPAN("comm.allreduce.reduce_scatter", {{"steps", n - 1}});
+    for (int s = 0; s < n - 1; ++s) {
+      const int c = ((rank_ - 1 - s) % n + n) % n;
+      const size_t b = chunk_begin(c), e = chunk_end(c);
+      if (s == n - 2 && scale != 1.0F) {
+        for (size_t k = b; k < e; ++k) {
+          mine[k] = (mine[k] + theirs[k]) * scale;
+        }
+      } else {
+        for (size_t k = b; k < e; ++k) mine[k] += theirs[k];
+      }
+      ctx.sync(deadline, rank_);
     }
   }
-  ctx.sync(deadline, rank_);
-}
 
-std::vector<float> Communicator::all_gather(std::span<const float> data) {
-  std::vector<float> out;
-  run_ordered([this, data, &out] { out = all_gather_impl(data); });
-  return out;
-}
-
-std::vector<float> Communicator::all_gather_impl(
-    std::span<const float> data) {
-  inject("comm.all_gather", rank_);
-  DMIS_TRACE_SPAN("comm.all_gather",
-                  {{"bytes", static_cast<int64_t>(data.size() *
-                                                  sizeof(float))}});
-  CommMetrics::get().all_gather_bytes.add(
-      static_cast<int64_t>(data.size() * sizeof(float)));
-  auto& ctx = *ctx_;
-  ctx.beat(rank_);
-  const auto deadline = ctx.collective_deadline();
-  ctx.cptrs_[static_cast<size_t>(rank_)] = data.data();
-  ctx.sizes_[static_cast<size_t>(rank_)] = data.size();
-  ctx.sync(deadline, rank_);
-  size_t total = 0;
-  for (int r = 0; r < size(); ++r) total += ctx.sizes_[static_cast<size_t>(r)];
-  std::vector<float> out;
-  out.reserve(total);
-  for (int r = 0; r < size(); ++r) {
-    const float* src = ctx.cptrs_[static_cast<size_t>(r)];
-    out.insert(out.end(), src, src + ctx.sizes_[static_cast<size_t>(r)]);
+  // Phase 2 — all-gather: at step s, rank i copies chunk (i - s) mod n
+  // (the one its left neighbor just completed/received).
+  {
+    DMIS_TRACE_SPAN("comm.allreduce.all_gather", {{"steps", n - 1}});
+    for (int s = 0; s < n - 1; ++s) {
+      const int c = ((rank_ - s) % n + n) % n;
+      const size_t b = chunk_begin(c), e = chunk_end(c);
+      if (e > b) std::memcpy(mine + b, theirs + b, (e - b) * sizeof(float));
+      ctx.sync(deadline, rank_);
+    }
   }
-  ctx.sync(deadline, rank_);
-  return out;
 }
 
 std::vector<Communicator> make_group(int size, int64_t timeout_ms) {

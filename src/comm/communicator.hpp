@@ -2,30 +2,34 @@
 //
 // The paper's data-parallel strategy synchronizes replica gradients with
 // an allreduce every step (tf.MirroredStrategy within a node, Ray.SGD
-// across nodes, NCCL underneath). This module provides the same
-// collectives for replicas that are threads of one process, using the
-// MPI naming scheme: a fixed group of `size` ranks, each owning a
-// Communicator handle bound to a shared CollectiveContext.
+// across nodes, NCCL underneath). This module provides the two
+// collectives that training issues — the gradient all-reduce and the
+// broadcast that (re-)admits replicas — for ranks that are threads of
+// one process, using the MPI naming scheme: a fixed group of `size`
+// ranks, each owning a Communicator handle bound to a shared
+// CollectiveContext.
 //
 // all_reduce_sum runs a real communication schedule — the *chunked
 // ring* NCCL uses (reduce-scatter + all-gather, 2(n-1) barrier-separated
-// steps, comm/algorithms.hpp) rather than a trivial shared-memory
-// reduction, so the communication structure (and the 2*(n-1)/n
-// traffic factor modeled by the cluster simulator) is real.
+// steps, Communicator::all_reduce_impl) rather than a trivial
+// shared-memory reduction, so the communication structure (and the
+// 2*(n-1)/n traffic factor modeled by the cluster simulator) is real.
 //
 // Usage is SPMD: every rank must call the same collectives in the same
-// order. Blocking collectives block until the whole group participates.
+// order, and one rank's calls are sequenced (a Communicator is used by
+// one thread at a time). Blocking collectives block until the whole
+// group participates.
 //
 // Nonblocking path: all_reduce_sum_async hands the operation to this
-// rank's *comm worker* — one thread per rank, owned by the context,
-// started lazily on the first async submission — and returns an
-// AsyncRequest immediately, so the issuing thread can keep computing
-// (backward) while the ring runs. Per-rank submission order is the
-// execution order; the SPMD contract extends unchanged: every rank must
-// submit the same collectives in the same order. Once the workers are
-// live, blocking collectives are routed through the same per-rank FIFO
-// queue (submit + wait), which keeps barrier rendezvous matched when
-// async and sync calls interleave. Buffers passed to an async collective
+// rank's *comm worker* — a one-thread ThreadPool per rank, owned by the
+// context, created lazily on the rank's first async submission — and
+// returns an AsyncRequest immediately, so the issuing thread can keep
+// computing (backward) while the ring runs. Per-rank submission order is
+// the execution order; the SPMD contract extends unchanged: every rank
+// must submit the same collectives in the same order. Once a rank's
+// worker exists, its blocking collectives are routed through the same
+// FIFO queue (submit + wait), which keeps rendezvous matched when async
+// and blocking calls interleave. Buffers passed to an async collective
 // must stay alive and untouched until wait() returns.
 //
 // Failure semantics (the part NCCL gets from its watchdog):
@@ -41,6 +45,8 @@
 //    of deadlocking. Every later collective on the context fails fast
 //    the same way. An aborted group is dead; recovery means building a
 //    new (smaller) group — see train::MirroredStrategy's elastic mode.
+//    Buffers of different lengths poison the group too: the mismatched
+//    rank throws InvalidArgument, its peers CommError{kPeerFailed}.
 //  * Health table. Each rank heartbeats at collective entry (timestamp
 //    + op count; the flight recorder's health rows show both, and the
 //    op count sequences the rendezvous). Timeouts turn laggards into
@@ -58,16 +64,18 @@
 #include <chrono>
 #include <condition_variable>
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <memory>
 #include <mutex>
 #include <span>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "common/check.hpp"
+
+namespace dmis {
+class ThreadPool;
+}  // namespace dmis
 
 namespace dmis::comm {
 
@@ -158,17 +166,7 @@ class CollectiveContext {
 
  private:
   friend class Communicator;
-  friend class CollectiveOps;
 
-  struct Task {
-    std::function<void()> fn;
-    std::shared_ptr<AsyncRequest::State> state;
-  };
-  struct RankQueue {
-    std::mutex mutex;
-    std::condition_variable cv;
-    std::deque<Task> tasks;
-  };
   struct RankState {
     std::atomic<int64_t> last_beat_us{0};
     std::atomic<int64_t> ops{0};
@@ -187,10 +185,21 @@ class CollectiveContext {
   /// Heartbeat: `rank` entered a collective.
   void beat(int rank);
 
+  /// Registers `rank`'s buffer for the collective it just entered;
+  /// fails fast on a poisoned group.
+  void publish(int rank, float* data, size_t len);
+
   /// Abortable, deadline-aware barrier replacing std::barrier. Throws
   /// CommError on timeout (after poisoning the group) or when woken by
   /// a poison pill.
   void sync(const Deadline& deadline, int rank);
+
+  /// After the registration rendezvous: every rank's buffer must be as
+  /// long as rank `ref`'s. On a mismatch each rank poisons the group
+  /// before leaving — the mismatched rank throws InvalidArgument, its
+  /// peers CommError{kPeerFailed} — so no peer waits on the caller's
+  /// bug or reads past a shorter buffer.
+  void check_sizes(const char* op, int rank, int ref);
 
   /// Poisons the group: records kind/reason for ranks that wake out of
   /// a rendezvous, wakes them all, and makes every later collective
@@ -210,21 +219,13 @@ class CollectiveContext {
   /// Rank health table as a JSON object (flight-recorder provider).
   std::string render_health_json() const;
 
-  /// Starts the per-rank comm workers (idempotent, thread-safe).
-  void ensure_workers();
-  /// True once workers have started; acquire pairs with the release in
-  /// ensure_workers so a rank that observes true also sees the queues.
-  bool workers_active() const {
-    return workers_active_.load(std::memory_order_acquire);
-  }
-  /// Enqueues `fn` on `rank`'s worker; returns the completion handle.
+  /// Enqueues `fn` on `rank`'s worker (created on first use); returns
+  /// the completion handle.
   AsyncRequest submit(int rank, std::function<void()> fn);
-  void worker_loop(int rank);
 
   int size_;
   int64_t timeout_ms_ = 0;
-  std::vector<float*> ptrs_;          // per-rank buffer registration
-  std::vector<const float*> cptrs_;   // per-rank const registration
+  std::vector<float*> ptrs_;  // per-rank buffer registration
   std::vector<size_t> sizes_;
 
   // Rendezvous state (the abortable barrier).
@@ -248,46 +249,17 @@ class CollectiveContext {
   bool agree_sealed_ = false;
   std::vector<int> agreed_dead_;
 
-  std::once_flag workers_once_;
-  std::atomic<bool> workers_active_{false};
-  std::atomic<bool> stopping_{false};
-  std::vector<std::unique_ptr<RankQueue>> queues_;
-  std::vector<std::thread> workers_;
-
   // Flight-recorder integration: the group publishes its rank health
   // table ("comm.group<id>") for crash dumps.
   int group_id_ = 0;
   int flight_token_ = -1;
-};
 
-/// One rank's view of one in-flight collective — the surface the ring
-/// schedule (comm/algorithms.hpp) builds on. Constructed by the
-/// Communicator after the registration rendezvous, so peer() pointers
-/// are already valid. Every schedule step must end with sync(); the
-/// final sync is what licenses ranks to leave (no peer reads a buffer
-/// after it).
-class CollectiveOps {
- public:
-  int rank() const { return rank_; }
-  int world() const { return ctx_->size(); }
-
-  /// Rank r's registered buffer (valid between syncs).
-  const float* peer(int r) const {
-    return ctx_->ptrs_[static_cast<size_t>(r)];
-  }
-
-  /// Global deadline-aware barrier over all world() ranks.
-  void sync() { ctx_->sync(deadline_, rank_); }
-
- private:
-  friend class Communicator;
-  CollectiveOps(CollectiveContext* ctx, int rank,
-                CollectiveContext::Deadline deadline)
-      : ctx_(ctx), rank_(rank), deadline_(deadline) {}
-
-  CollectiveContext* ctx_;
-  int rank_;
-  CollectiveContext::Deadline deadline_;
+  // Per-rank comm workers (one-thread pools), null until the rank's
+  // first async submission. Only the rank's own calls touch its entry,
+  // and those are sequenced. Declared last: destroyed first, so each
+  // pool drains its queued collectives and joins while the state they
+  // use is still alive.
+  std::vector<std::unique_ptr<ThreadPool>> workers_;
 };
 
 /// One rank's handle onto the group.
@@ -321,50 +293,36 @@ class Communicator {
   /// as dead.
   std::vector<int> agree_on_failures(int64_t grace_ms = 250);
 
-  /// Blocks until every rank has arrived.
-  void barrier();
-
-  /// Copies root's buffer into every rank's buffer (sizes must match).
+  /// Copies root's buffer into every rank's buffer. Lengths must match
+  /// on every rank; a mismatch poisons the group (see the file comment).
   void broadcast(std::span<float> data, int root);
 
-  /// Element-wise sum across ranks; every rank ends with the total.
-  /// Chunked ring algorithm (reduce-scatter + all-gather).
-  void all_reduce_sum(std::span<float> data);
-
-  /// all_reduce_sum followed by division by the group size — the
-  /// gradient-averaging form used by data-parallel training. The
-  /// division is fused into the final reduce-scatter step (each chunk
-  /// is scaled once by its owning rank before the all-gather phase
-  /// propagates it), so no extra pass over the buffer is made.
-  void all_reduce_mean(std::span<float> data);
+  /// Element-wise sum across ranks, times `scale`; every rank ends with
+  /// the result. Chunked ring (reduce-scatter + all-gather). `scale` is
+  /// fused into the final reduce-scatter step — each chunk is scaled
+  /// once by its owning rank before the all-gather propagates it — so
+  /// the result is exactly (unscaled sum) * scale, bit for bit, with no
+  /// extra pass; scale = 1/size() is the gradient mean. All ranks must
+  /// pass the same `scale` and buffers of the same length.
+  void all_reduce_sum(std::span<float> data, float scale = 1.0F);
 
   /// Nonblocking all_reduce_sum: enqueues the ring on this rank's comm
   /// worker and returns immediately. `data` must stay alive and
-  /// untouched until wait() returns. `scale` is folded into the ring
-  /// exactly as in all_reduce_mean (every element of the result is the
-  /// group sum times `scale`); all ranks must pass the same value.
+  /// untouched until wait() returns. The result is bit-identical to the
+  /// blocking call with the same `scale`.
   AsyncRequest all_reduce_sum_async(std::span<float> data,
                                     float scale = 1.0F);
 
-  /// Sums every rank's buffer into root's buffer (others unchanged).
-  void reduce_sum(std::span<float> data, int root);
-
-  /// Concatenates every rank's buffer in rank order; all ranks receive
-  /// the full result. Buffers may have different lengths.
-  std::vector<float> all_gather(std::span<const float> data);
-
  private:
-  /// Common all-reduce entry: fault point, metrics/span, heartbeat,
-  /// registration rendezvous, then the ring. `scale` != 1 is folded
-  /// into each element's final accumulation (mean fusion).
+  /// The all-reduce: fault point, metrics/span, heartbeat, registration
+  /// rendezvous, then the chunked ring. `scale` != 1 is folded into each
+  /// element's final accumulation.
   void all_reduce_impl(std::span<float> data, float scale);
   void broadcast_impl(std::span<float> data, int root);
-  void reduce_sum_impl(std::span<float> data, int root);
-  std::vector<float> all_gather_impl(std::span<const float> data);
 
   /// Runs a collective body in per-rank program order: directly while
-  /// the context has no comm workers, through this rank's worker queue
-  /// (submit + wait) once it does.
+  /// this rank has no comm worker, through its queue (submit + wait)
+  /// once it does.
   void run_ordered(std::function<void()> fn);
 
   std::shared_ptr<CollectiveContext> ctx_;

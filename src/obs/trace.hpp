@@ -8,7 +8,7 @@
 // recording takes no locks (the owning thread is the only writer; a
 // release store on the buffer's count publishes each event).
 //
-//   void Communicator::all_reduce_sum(std::span<float> data) {
+//   void Communicator::all_reduce_impl(std::span<float> data, float scale) {
 //     DMIS_TRACE_SPAN("comm.allreduce",
 //                     {{"bytes", static_cast<int64_t>(4 * data.size())}});
 //     ...

@@ -22,9 +22,9 @@
 // pack (or an in-place pre-scale for direct buckets) applies pack_scale
 // (local sample count), and unpack_scale (1/global batch) rides the
 // ring itself — the communicator multiplies each chunk once as its
-// reduction completes, exactly as all_reduce_mean does — so unpacking
-// is a plain copy-out and the arithmetic is element-for-element the
-// same as a per-tensor scale_ / allreduce / scale_ triple pass (the
+// reduction completes, exactly as all_reduce_sum's `scale` does — so
+// unpacking is a plain copy-out and the arithmetic is element-for-element
+// the same as a per-tensor scale_ / allreduce / scale_ triple pass (the
 // reference tests/train/grad_bucketer_test.cpp checks it against).
 //
 // Ordering: buckets are *always launched in layout order*, on every

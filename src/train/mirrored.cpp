@@ -497,10 +497,7 @@ TrainReport MirroredStrategy::fit(data::BatchStream& train,
       for (double l : replica_loss) batch_loss += l;
       loss_sum += batch_loss / static_cast<double>(total);
       ++steps;
-      if (elastic && options_.checkpoint_every_steps > 0 &&
-          steps % options_.checkpoint_every_steps == 0) {
-        save_state(epoch, steps, loss_sum);
-      }
+      if (elastic) save_state(epoch, steps, loss_sum);
     }
     train.reset();
     if (failed_this_epoch) continue;

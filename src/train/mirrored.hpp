@@ -32,7 +32,7 @@
 //    step-consistent checkpoint in `elastic_dir`, fast-forward the
 //    batch stream to the checkpointed position, and keep training at
 //    the reduced world size. Recovery replays from the latest
-//    checkpoint, so with the default every-step cadence at most one
+//    checkpoint, which is written after every step, so at most one
 //    step of work is lost per failure.
 //
 // Scale-UP (elastic mode): request_rejoin() counts one returning rank
@@ -94,9 +94,6 @@ struct MirroredOptions {
   /// < 0 resolves DMIS_COMM_TIMEOUT_MS, 0 = no deadline. A deadline is
   /// what turns a *hung* (not crashed) rank into a typed failure.
   int64_t comm_timeout_ms = -1;
-  /// Optimizer steps between step-consistent checkpoints in elastic
-  /// mode (epoch boundaries always checkpoint). 1 = every step.
-  int64_t checkpoint_every_steps = 1;
   /// Grace (ms) survivors wait in the post-abort agreement round for
   /// peers to register before condemning them.
   int64_t agree_grace_ms = 250;

@@ -49,11 +49,11 @@ std::vector<double> reference_sum(
   return expected;
 }
 
-/// Runs one blocking all_reduce_sum (or _mean / async variant) over a
-/// fresh group and returns every rank's output buffer.
+/// Runs one all_reduce_sum with `scale` (blocking, or async + wait) over
+/// a fresh group and returns every rank's output buffer.
 std::vector<std::vector<float>> run_all_reduce(int world, size_t len,
                                                uint64_t seed,
-                                               bool mean = false,
+                                               float scale = 1.0F,
                                                bool async = false) {
   auto comms = make_group(world);
   auto bufs = make_inputs(world, len, seed);
@@ -64,12 +64,9 @@ std::vector<std::vector<float>> run_all_reduce(int world, size_t len,
       auto& buf = bufs[static_cast<size_t>(r)];
       auto& comm = comms[static_cast<size_t>(r)];
       if (async) {
-        AsyncRequest req = comm.all_reduce_sum_async(buf);
-        req.wait();
-      } else if (mean) {
-        comm.all_reduce_mean(buf);
+        comm.all_reduce_sum_async(buf, scale).wait();
       } else {
-        comm.all_reduce_sum(buf);
+        comm.all_reduce_sum(buf, scale);
       }
     });
   }
@@ -140,32 +137,39 @@ TEST(AllReduceAlgoParity, BitwiseDeterministicAcrossRuns) {
   }
 }
 
-// all_reduce_mean must equal all_reduce_sum followed by one scalar
-// multiply, bit for bit: the ring folds the scale into the final
-// accumulation of each element exactly once.
+// A scaled all_reduce_sum (scale = 1/world, the gradient mean) must
+// equal the unscaled sum followed by one scalar multiply, bit for bit:
+// the ring folds the scale into the final accumulation of each element
+// exactly once.
 TEST(AllReduceAlgoParity, MeanIsSumScaledExactlyOnce) {
-  constexpr int kWorld = 5;
-  const float inv = 1.0F / static_cast<float>(kWorld);
-  const auto sum =
-      run_all_reduce(kWorld, /*len=*/513, /*seed=*/3, /*mean=*/false);
-  const auto mean =
-      run_all_reduce(kWorld, /*len=*/513, /*seed=*/3, /*mean=*/true);
-  for (size_t r = 0; r < sum.size(); ++r) {
-    std::vector<float> scaled = sum[r];
-    for (float& v : scaled) v *= inv;
-    EXPECT_TRUE(bitwise_equal(scaled, mean[r])) << "rank " << r;
+  for (int world = 1; world <= 8; ++world) {
+    const float inv = 1.0F / static_cast<float>(world);
+    const auto sum = run_all_reduce(world, /*len=*/513, /*seed=*/3);
+    const auto mean = run_all_reduce(world, /*len=*/513, /*seed=*/3, inv);
+    for (size_t r = 0; r < sum.size(); ++r) {
+      std::vector<float> scaled = sum[r];
+      for (float& v : scaled) v *= inv;
+      EXPECT_TRUE(bitwise_equal(scaled, mean[r]))
+          << case_name(world, 513) << " rank " << r;
+    }
   }
 }
 
 // The async worker path runs the same ring through the same
-// rendezvous, so it must produce the same bits as the blocking path.
+// rendezvous, so it must produce the same bits as the blocking path,
+// scaled or not.
 TEST(AllReduceAlgoParity, AsyncPathMatchesBlockingBitwise) {
-  const auto blocking = run_all_reduce(/*world=*/4, /*len=*/2048,
-                                       /*seed=*/11, /*mean=*/false);
-  const auto async = run_all_reduce(/*world=*/4, /*len=*/2048, /*seed=*/11,
-                                    /*mean=*/false, /*async=*/true);
-  for (size_t r = 0; r < blocking.size(); ++r) {
-    EXPECT_TRUE(bitwise_equal(blocking[r], async[r])) << "rank " << r;
+  for (int world = 1; world <= 8; ++world) {
+    for (const float scale : {1.0F, 1.0F / static_cast<float>(world)}) {
+      const auto blocking =
+          run_all_reduce(world, /*len=*/2048, /*seed=*/11, scale);
+      const auto async = run_all_reduce(world, /*len=*/2048, /*seed=*/11,
+                                        scale, /*async=*/true);
+      for (size_t r = 0; r < blocking.size(); ++r) {
+        EXPECT_TRUE(bitwise_equal(blocking[r], async[r]))
+            << case_name(world, 2048) << " scale=" << scale << " rank " << r;
+      }
+    }
   }
 }
 

@@ -56,7 +56,7 @@ TEST_P(AsyncAllReduceRanks, InterleavedAsyncAndBlockingCollectives) {
       AsyncRequest req = comm.all_reduce_sum_async(a);
 
       std::vector<float> b(13, 1.0F);
-      comm.all_reduce_mean(b);
+      comm.all_reduce_sum(b, 1.0F / static_cast<float>(ranks));
       for (float v : b) ASSERT_FLOAT_EQ(v, 1.0F);
 
       std::vector<float> c(5, static_cast<float>(rank + round));
@@ -203,7 +203,7 @@ TEST(AsyncCommTest, EmptyRequestIsInvalidAndWaitThrows) {
 
 TEST(AsyncCommTest, DroppingGroupWithUnwaitedRequestsCompletesThem) {
   // Submit on every rank, never wait, destroy the group: the context
-  // destructor must drain the queues (the matching submissions exist on
+  // destructor must drain the worker pools (the matching submissions exist on
   // all ranks) instead of hanging or crashing.
   std::vector<std::vector<float>> bufs(3, std::vector<float>(32, 1.0F));
   {
@@ -223,10 +223,10 @@ TEST(AsyncCommTest, DroppingGroupWithUnwaitedRequestsCompletesThem) {
 }
 
 TEST(AsyncCommTest, TeardownRightAfterLastWaitNeverHangs) {
-  // The context destructor races its idle workers back into their queue
-  // wait: the stop flag must be published under each queue's mutex, or
-  // a worker that has just found its queue empty misses the wakeup and
-  // the destructor's join() hangs until the ctest timeout.
+  // The context destructor races its idle comm worker back into its
+  // queue wait: the pool's stop flag must be published under the queue
+  // mutex, or a worker that has just found its queue empty misses the
+  // wakeup and the destructor's join() hangs until the ctest timeout.
   for (int cycle = 0; cycle < 2000; ++cycle) {
     auto comms = make_group(1);
     std::vector<float> buf(8, 1.0F);

@@ -143,31 +143,35 @@ TEST_F(CommFailureTest, AgreementRequiresPoisonedGroup) {
 // A rank that loses a collective at entry (injected fault) and moves on
 // desynchronizes from its peers. The rendezvous sequence check must
 // poison the group with kPeerFailed instead of silently pairing
-// mismatched collectives.
+// mismatched collectives. The deadline only bounds the test if the
+// check is broken; the correct path never waits on it.
 TEST_F(CommFailureTest, CollectiveSequenceMismatchPoisonsGroup) {
   auto& faults = common::FaultInjector::instance();
-  faults.arm_nth_call("comm.broadcast.r0", 1);
-  auto comms = make_group(2);
+  faults.arm_nth_call("comm.all_reduce.r0", 1);
+  auto comms = make_group(2, /*timeout_ms=*/5000);
   std::atomic<int> comm_errors{0};
 
+  // Rank 0 is the broadcast root, so it never writes its buffer while
+  // rank 1's all-reduce reads it.
+  std::vector<float> buf0(6, 1.0F);
   std::thread peer([&] {
     std::vector<float> buf(6, 2.0F);
     try {
-      comms[1].broadcast(buf, /*root=*/1);
+      comms[1].all_reduce_sum(buf);
     } catch (const CommError& e) {
       EXPECT_EQ(e.kind(), CommErrorKind::kPeerFailed);
       comm_errors.fetch_add(1);
     }
   });
 
-  std::vector<float> buf(6, 1.0F);
-  EXPECT_THROW(comms[0].broadcast(buf, 1), common::FaultInjected);
-  // Rank 0 skipped the broadcast and moved on. Its first barrier pairs
-  // up with the broadcast's first rendezvous (same op count), but the
-  // *second* one arrives one op ahead and trips the sequence check.
-  comms[0].barrier();
+  EXPECT_THROW(comms[0].all_reduce_sum(buf0), common::FaultInjected);
+  // Rank 0 lost the all-reduce and moved on. Its first broadcast pairs
+  // up with the all-reduce's first rendezvous steps (same op count),
+  // but the *second* broadcast arrives one op ahead and trips the
+  // sequence check.
+  comms[0].broadcast(buf0, /*root=*/0);
   try {
-    comms[0].barrier();
+    comms[0].broadcast(buf0, /*root=*/0);
   } catch (const CommError& e) {
     EXPECT_EQ(e.kind(), CommErrorKind::kPeerFailed);
     comm_errors.fetch_add(1);
@@ -175,6 +179,59 @@ TEST_F(CommFailureTest, CollectiveSequenceMismatchPoisonsGroup) {
   peer.join();
   EXPECT_EQ(comm_errors.load(), 2);
   EXPECT_TRUE(comms[0].aborted());
+}
+
+// A rank that passes a buffer of the wrong length is a caller bug, but
+// its peers must not wait forever for it (there is no deadline here):
+// the mismatch poisons the group, the mismatched rank gets
+// InvalidArgument and every peer CommError{kPeerFailed}. A watchdog
+// turns a hang into a test failure.
+TEST_F(CommFailureTest, SizeMismatchPoisonsInsteadOfHanging) {
+  constexpr int kRanks = 3;
+  constexpr int kOdd = 2;  // the rank with the short buffer
+  for (const bool broadcast : {false, true}) {
+    SCOPED_TRACE(broadcast ? "broadcast" : "all_reduce_sum");
+    auto comms = make_group(kRanks);
+    std::vector<std::vector<float>> bufs;
+    for (int r = 0; r < kRanks; ++r) bufs.emplace_back(r == kOdd ? 6 : 8);
+    std::atomic<int> invalid{0};
+    std::atomic<int> peer_failed{0};
+    std::atomic<int> finished{0};
+    std::vector<std::thread> threads;
+    for (int r = 0; r < kRanks; ++r) {
+      threads.emplace_back([&, r] {
+        auto& comm = comms[static_cast<size_t>(r)];
+        auto& buf = bufs[static_cast<size_t>(r)];
+        try {
+          if (broadcast) {
+            comm.broadcast(buf, /*root=*/0);
+          } else {
+            comm.all_reduce_sum(buf);
+          }
+        } catch (const CommError& e) {
+          if (r != kOdd && e.kind() == CommErrorKind::kPeerFailed) {
+            peer_failed.fetch_add(1);
+          }
+        } catch (const InvalidArgument&) {
+          if (r == kOdd) invalid.fetch_add(1);
+        }
+        finished.fetch_add(1);
+      });
+    }
+    const auto limit =
+        std::chrono::steady_clock::now() + std::chrono::seconds(10);
+    while (finished.load() < kRanks &&
+           std::chrono::steady_clock::now() < limit) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    }
+    const bool hung = finished.load() < kRanks;
+    if (hung) comms[0].abort("watchdog");  // release the blocked ranks
+    for (auto& t : threads) t.join();
+    EXPECT_FALSE(hung) << "peers still blocked after 10 s";
+    EXPECT_EQ(invalid.load(), 1);
+    EXPECT_EQ(peer_failed.load(), kRanks - 1);
+    EXPECT_TRUE(comms[0].aborted());
+  }
 }
 
 // A hung (not crashed) rank is exactly what deadlines exist for: the

@@ -70,44 +70,8 @@ TEST(CommunicatorTest, AllReduceSingleRankIsIdentity) {
 TEST(CommunicatorTest, AllReduceMeanAveragesGradients) {
   run_group(4, [](int rank, Communicator& comm) {
     std::vector<float> grad(5, static_cast<float>(rank));  // 0,1,2,3
-    comm.all_reduce_mean(grad);
+    comm.all_reduce_sum(grad, 1.0F / static_cast<float>(comm.size()));
     for (float v : grad) EXPECT_FLOAT_EQ(v, 1.5F);
-  });
-}
-
-TEST(CommunicatorTest, ReduceSumOnlyRootChanges) {
-  run_group(3, [](int rank, Communicator& comm) {
-    std::vector<float> buf(4, 1.0F);
-    comm.reduce_sum(buf, 1);
-    if (rank == 1) {
-      for (float v : buf) EXPECT_FLOAT_EQ(v, 3.0F);
-    } else {
-      for (float v : buf) EXPECT_FLOAT_EQ(v, 1.0F);
-    }
-  });
-}
-
-TEST(CommunicatorTest, AllGatherConcatenatesInRankOrder) {
-  run_group(3, [](int rank, Communicator& comm) {
-    // Rank r contributes r+1 copies of float(r).
-    std::vector<float> mine(static_cast<size_t>(rank + 1),
-                            static_cast<float>(rank));
-    const std::vector<float> all = comm.all_gather(mine);
-    ASSERT_EQ(all.size(), 6U);  // 1 + 2 + 3
-    EXPECT_FLOAT_EQ(all[0], 0.0F);
-    EXPECT_FLOAT_EQ(all[1], 1.0F);
-    EXPECT_FLOAT_EQ(all[2], 1.0F);
-    EXPECT_FLOAT_EQ(all[3], 2.0F);
-    EXPECT_FLOAT_EQ(all[5], 2.0F);
-  });
-}
-
-TEST(CommunicatorTest, BarrierOrdersPhases) {
-  std::atomic<int> phase_one{0};
-  run_group(4, [&](int, Communicator& comm) {
-    phase_one.fetch_add(1);
-    comm.barrier();
-    EXPECT_EQ(phase_one.load(), 4);  // nobody passes before all arrive
   });
 }
 

@@ -340,7 +340,7 @@ echo "== bench: gradient sync + ring collectives =="
 # robust to wild single repetitions. Only the aggregate rows (mean,
 # median, stddev, cv) are written, which keeps the committed file small.
 ./build/bench/bench_allreduce \
-  --benchmark_filter='GradSync|RingAllreduce|NaiveReduceBroadcast' \
+  --benchmark_filter='GradSync|RingAllreduce' \
   --benchmark_min_time=0.1 \
   --benchmark_repetitions=9 \
   --benchmark_enable_random_interleaving=true \
